@@ -138,7 +138,5 @@ def dedekind_sum_fast(p: int, q: int) -> Fraction:
 
 def dedekind_symbol(s: Slope) -> Fraction:
     """Normalized symbol S(p/q) = 12 sign(q) s(p, q) of a finite slope."""
-    if s.q == 0:
-        raise ValueError("symbol undefined at infinite slope")
-    # Slope keeps q > 0, so sign(q) = 1 after canonicalization.
+    # Slope rejects q = 0 and keeps q > 0, so sign(q) = 1 after canonicalization.
     return 12 * dedekind_sum_fast(s.p, s.q)

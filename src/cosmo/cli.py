@@ -159,10 +159,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Flags whose values may be negative rationals like -1/1, which argparse
-# would otherwise read as an unknown option when passed as a separate token.
-_NEGATIVE_VALUE_FLAGS = frozenset({"--sx", "--sy", "--slope", "--s0", "--lambda-w"})
-_NEGATIVE_VALUE = re.compile(r"-\d+(/-?\d+)?$")
+# Flags whose values may start with a minus sign, like the rational -1/1 or
+# the braid word -1,2,-1, which argparse would otherwise read as an unknown
+# option when passed as a separate token.
+_NEGATIVE_VALUE_FLAGS = frozenset({"--sx", "--sy", "--slope", "--s0", "--lambda-w", "--braid"})
+_NEGATIVE_VALUE = re.compile(r"-\d+(/-?\d+|(,-?\d+)*)$")
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:

@@ -22,9 +22,10 @@ switched in one child and replaced by the oriented smoothing in the other,
 and nabla(D) = nabla(switched) + sign * z * nabla(smoothed).  Fully
 descending diagrams are stacked unknots: value 1 for one component, 0 for
 two or more.  Results are memoized on a canonical serialization of the
-diagram (lexicographically minimal over cyclic relabelings of the arcs).
-Shared memo tables only ever see atomic dict get/set, so concurrent readers
-are safe.
+diagram: arcs renumbered 1..N in traversal order from the base points, then
+the crossings sorted.  Equal keys mean the same diagram up to arc names, and
+the memoized polynomial is a link invariant.  Shared memo tables only ever
+see atomic dict get/set, so concurrent readers are safe.
 
 Text format
 -----------
@@ -35,7 +36,6 @@ the base point).  Blank lines and ``#`` comments are ignored.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -198,27 +198,8 @@ class LinkDiagram:
         """Oriented smoothing at crossing i: under-in joins over-out, over-in joins under-out."""
         x = self.crossings[i]
         pairs = ((x.a, x.b), (x.c, x.d)) if x.sign > 0 else ((x.a, x.d), (x.b, x.c))
-        klass: dict[int, set[int]] = {}
-        for u, v in pairs:
-            s = klass.get(u, {u}) | klass.get(v, {v})
-            for arc in s:
-                klass[arc] = s
-        rep = {arc: min(s) for arc, s in klass.items()}
-        rest = [
-            Crossing(rep.get(y.a, y.a), rep.get(y.b, y.b), rep.get(y.c, y.c), rep.get(y.d, y.d), y.sign)
-            for j, y in enumerate(self.crossings)
-            if j != i
-        ]
-        used = {arc for y in rest for arc in (y.a, y.b, y.c, y.d)}
-        circles = {min(s) for s in klass.values()} - used
-        carried = {c[0] for c in self.components if len(c) == 1 and c[0] not in (x.a, x.b, x.c, x.d)}
-        succ: dict[int, int] = {}
-        for y in rest:
-            succ[y.a] = y.c
-            succ[y.over_in] = y.over_out
-        comps = list(_cycles_of(succ)) + [(arc,) for arc in sorted(circles | carried)]
-        comps.sort(key=min)
-        return LinkDiagram(rest, comps)
+        circles = [c[0] for c in self.components if len(c) == 1]
+        return _weld(self.crossings[:i] + self.crossings[i + 1 :], pairs, circles)
 
     # -- descending walk ------------------------------------------------------
 
@@ -240,29 +221,14 @@ class LinkDiagram:
     # -- canonical serialization ----------------------------------------------
 
     def canonical_key(self):
-        """Lexicographically minimal serialization over cyclic arc relabelings."""
-        if self._key is not None:
-            return self._key
-        comps = self.components
-        shape = tuple(len(c) for c in comps)
-        best = None
-        for rots in itertools.product(*(range(len(c)) for c in comps)):
-            relabel: dict[int, int] = {}
-            n = 1
-            for cyc, r in zip(comps, rots):
-                m = len(cyc)
-                for j in range(m):
-                    relabel[cyc[(r + j) % m]] = n
-                    n += 1
-            sig = tuple(
-                sorted(
-                    (relabel[x.a], relabel[x.b], relabel[x.c], relabel[x.d], x.sign)
-                    for x in self.crossings
-                )
+        """Arcs renumbered in traversal order from the base points, crossings sorted."""
+        if self._key is None:
+            arcs = [arc for cyc in self.components for arc in cyc]
+            relabel = {arc: n for n, arc in enumerate(arcs, 1)}
+            sig = sorted(
+                (relabel[x.a], relabel[x.b], relabel[x.c], relabel[x.d], x.sign) for x in self.crossings
             )
-            if best is None or sig < best:
-                best = sig
-        self._key = (shape, best)
+            self._key = (tuple(len(c) for c in self.components), tuple(sig))
         return self._key
 
     # -- component extraction ---------------------------------------------------
@@ -272,56 +238,52 @@ class LinkDiagram:
         if not 0 <= i < len(self.components):
             raise DiagramError(f"no component {i} in a {len(self.components)}-component diagram")
         mine = set(self.components[i])
-        klass: dict[int, set[int]] = {}
-
-        def weld(u, v):
-            s = klass.get(u, {u}) | klass.get(v, {v})
-            for arc in s:
-                klass[arc] = s
-
-        kept = []
+        kept, pairs = [], []
         for x in self.crossings:
             under = x.a in mine
             over = x.over_in in mine
             if under and over:
                 kept.append(x)
             elif under:
-                weld(x.a, x.c)
+                pairs.append((x.a, x.c))
             elif over:
-                weld(x.over_in, x.over_out)
-        # resolve weld chains to minimal representatives
-        rep: dict[int, int] = {}
-        for arc in list(klass):
-            s = klass[arc]
-            grown = True
-            while grown:
-                grown = False
-                for other in list(s):
-                    t = klass.get(other)
-                    if t is not None and not t <= s:
-                        s = s | t
-                        grown = True
-                for other in s:
-                    klass[other] = s
-            rep[arc] = min(s)
-        new = [
-            Crossing(rep.get(x.a, x.a), rep.get(x.b, x.b), rep.get(x.c, x.c), rep.get(x.d, x.d), x.sign)
-            for x in kept
-        ]
-        succ: dict[int, int] = {}
-        for y in new:
-            succ[y.a] = y.c
-            succ[y.over_in] = y.over_out
-        comps = list(_cycles_of(succ))
-        if not comps:
-            label = min(rep[a] for a in mine if a in rep) if any(a in rep for a in mine) else min(mine)
-            comps = [(label,)]
-        if len(comps) != 1:
+                pairs.append((x.over_in, x.over_out))
+        sub = _weld(kept, pairs, mine)
+        if len(sub.components) != 1:
             raise DiagramError("component extraction produced a disconnected strand")
-        return LinkDiagram(new, comps)
+        return sub
 
     def __repr__(self) -> str:
         return f"LinkDiagram({len(self.crossings)} crossings, {len(self.components)} components)"
+
+
+def _weld(
+    crossings: Iterable[Crossing], pairs: Iterable[tuple[int, int]], circles: Iterable[int] = ()
+) -> LinkDiagram:
+    """Diagram of the crossings after joining each pair of arcs into one arc.
+
+    Each welded class is renamed to its smallest arc.  A welded class, or an
+    arc in ``circles``, that no crossing touches becomes a crossing-free circle.
+    """
+    root: dict[int, int] = {}
+
+    def find(arc: int) -> int:
+        while root.get(arc, arc) != arc:
+            arc = root[arc]
+        return arc
+
+    for u, v in pairs:
+        lo, hi = sorted((find(u), find(v)))
+        root[lo] = root[hi] = lo
+    xs = [Crossing(find(x.a), find(x.b), find(x.c), find(x.d), x.sign) for x in crossings]
+    succ: dict[int, int] = {}
+    for x in xs:
+        succ[x.a] = x.c
+        succ[x.over_in] = x.over_out
+    loose = {find(arc) for arc in [*root, *circles]} - succ.keys()
+    comps = list(_cycles_of(succ)) + [(arc,) for arc in loose]
+    comps.sort(key=min)
+    return LinkDiagram(xs, comps)
 
 
 def _cycles_of(succ: Mapping[int, int]) -> tuple[tuple[int, ...], ...]:
@@ -616,25 +578,7 @@ def braid_closure(word: Sequence[int], strands: int | None = None) -> LinkDiagra
             records.append(Crossing(lo, hi, tr, tl, -1))  # under bl->tr, over br->tl
         pos[i - 1], pos[i] = tl, tr
     # close up: weld the top arc of each strand to its bottom arc
-    klass: dict[int, set[int]] = {}
-    for top, bottom in zip(pos, range(1, strands + 1)):
-        s = klass.get(top, {top}) | klass.get(bottom, {bottom})
-        for arc in s:
-            klass[arc] = s
-    rep = {arc: min(s) for arc, s in klass.items()}
-    records = [
-        Crossing(rep.get(x.a, x.a), rep.get(x.b, x.b), rep.get(x.c, x.c), rep.get(x.d, x.d), x.sign)
-        for x in records
-    ]
-    used = {arc for x in records for arc in (x.a, x.b, x.c, x.d)}
-    succ: dict[int, int] = {}
-    for x in records:
-        succ[x.a] = x.c
-        succ[x.over_in] = x.over_out
-    circles = {min(s) for s in klass.values()} - used
-    comps = list(_cycles_of(succ)) + [(arc,) for arc in sorted(circles)]
-    comps.sort(key=min)
-    return LinkDiagram(records, comps)
+    return _weld(records, zip(pos, range(1, strands + 1)))
 
 
 def unknot_diagram() -> LinkDiagram:

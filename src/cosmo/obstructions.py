@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import Q, Slope, dedekind_sum_fast
-from .casson_walker import linking_matrix, signature_2x2
 from .links import LinkSurgeryInvariants, pretzel_a3_closed_form
 
 __all__ = [
@@ -86,26 +85,13 @@ def _positive_integer_roots(c2: Fraction, c1: Fraction, c0: Fraction) -> tuple[i
     return tuple(sorted(found))
 
 
-def _expand_linear_product(r1: int, r2: int) -> tuple[int, int, int]:
-    """Coefficients (c2, c1, c0) of (x - r1)(x - r2), by polynomial multiply."""
-    lo = [-r1, 1]
-    hi = [-r2, 1]
-    out = [0, 0, 0]
-    for i, a in enumerate(lo):
-        for j, b in enumerate(hi):
-            out[i + j] += a * b
-    return out[2], out[1], out[0]
-
-
 def purely_cosmetic_candidates_ihs() -> set[int]:
     """Slopes on which an integral homology sphere could share its surgery
     with the mirror slope, derived from where twice the Dedekind sum s(1, p)
-    vanishes: the closed-form numerator (p-1)(p-2) is expanded and solved
+    vanishes: the closed-form numerator (p-1)(p-2) = p^2 - 3p + 2 is solved
     exactly, then every root is re-verified against the actual sums.
     """
-    c2, c1, c0 = _expand_linear_product(1, 2)
-    roots = _positive_integer_roots(Q(c2), Q(c1), Q(c0))
-    found = set(roots)
+    found = set(_positive_integer_roots(Q(1), Q(-3), Q(2)))
     for p in range(1, 51):
         vanishes = 2 * dedekind_sum_fast(1, p) == 0
         assert vanishes == (p in found), f"candidate derivation disagrees with s(1,{p})"
@@ -145,17 +131,6 @@ def chirally_cosmetic_obstruction_ihs(lambda_w_sigma: Fraction) -> ObstructionRe
     )
 
 
-def _signature_difference(s0: Slope) -> int:
-    """Signature gap between the +p and -p framing matrices; constant in p."""
-    probes = [
-        signature_2x2(linking_matrix(0, Slope(p, 1), s0))
-        - signature_2x2(linking_matrix(0, Slope(-p, 1), s0))
-        for p in (1, 2)
-    ]
-    assert probes[0] == probes[1], "signature difference unexpectedly depends on p"
-    return probes[0]
-
-
 def purely_cosmetic_quadratic(inv: LinkSurgeryInvariants, s0: Slope) -> ObstructionReport:
     """Candidate surgery coefficients p for which +p and -p surgery on the
     first component (the second framed at s0) could agree.
@@ -168,7 +143,9 @@ def purely_cosmetic_quadratic(inv: LinkSurgeryInvariants, s0: Slope) -> Obstruct
         raise ValueError("candidate test requires linking number zero")
     if s0.p == 0:
         raise ValueError("framing slope 0 on the second component is not allowed here")
-    sig_diff = _signature_difference(s0)
+    # With lk = 0 the framing matrices are diag(+-p, s0), and s0 != 0 gives
+    # sig diag(p, s0) - sig diag(-p, s0) = 2 for every p > 0.
+    sig_diff = 2
     lin = -Q(3 * sig_diff, 2)
     const = 2 - 24 * inv.a2_x + 24 * Q(s0.q, s0.p) * inv.a3
     disc = lin * lin - 4 * const
@@ -250,7 +227,7 @@ def pretzel_analysis(a: int, b: int, s0: Slope) -> ObstructionReport:
     inv = LinkSurgeryInvariants(a2_x=0, a2_y=a2_knot, a3=a3, lk=0)
     inner = purely_cosmetic_quadratic(inv, s0)
     sig_diff = dict(inner.evidence)["signature_difference"]
-    expected_disc = Q(9 * sig_diff * sig_diff, 4) - 8 + 96 * 0 - 96 * Q(s0.q, s0.p) * a3
+    expected_disc = Q(9 * sig_diff * sig_diff, 4) - 8 - 96 * Q(s0.q, s0.p) * a3
     assert dict(inner.evidence)["discriminant"] == expected_disc, (
         "quadratic discriminant disagrees with its closed form"
     )

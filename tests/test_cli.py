@@ -204,6 +204,12 @@ class TestCommands:
         assert code == 0
         assert json.loads(out) == {"coefficients": {}}
 
+    def test_conway_braid_negative_first_letter_as_separate_token(self, capsys):
+        spaced = run_cli(capsys, ["conway", "--braid", "-1,2,-1", "--strands", "3"])
+        joined = run_cli(capsys, ["conway", "--braid=-1,2,-1", "--strands", "3"])
+        assert spaced[0] == 0
+        assert spaced[:2] == joined[:2]
+
     def test_tau_from_matrix_file(self, capsys, tmp_path):
         mat = tmp_path / "trefoil.mat"
         mat.write_text("2\n-1 1\n0 -1\n")

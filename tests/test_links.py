@@ -218,6 +218,23 @@ class TestComponentExtraction:
         with pytest.raises(DiagramError):
             unknot_diagram().component_subdiagram(1)
 
+    def test_untouched_strand_is_a_circle(self):
+        sub = braid_closure([1, 1], 3).component_subdiagram(2)
+        assert sub.crossings == ()
+        assert sub.components == ((3,),)
+
+    def test_unlink_component_keeps_its_label(self):
+        assert unlink_diagram(2).component_subdiagram(1).components == ((2,),)
+
+    def test_braid_closure_labels_pinned(self):
+        d = braid_closure([1, 2, -1], 3)
+        assert d.crossings == (
+            Crossing(2, 5, 4, 1, 1),
+            Crossing(3, 3, 6, 5, 1),
+            Crossing(4, 6, 2, 1, -1),
+        )
+        assert d.components == ((1, 5, 3, 6), (2, 4))
+
 
 class TestPretzelFamily:
     @pytest.mark.parametrize("a", [1, 2])
