@@ -65,17 +65,13 @@ class Slope:
     @classmethod
     def parse(cls, text: str) -> "Slope":
         """Parse 'p/q' or a bare integer 'p' (meaning p/1)."""
-        parts = text.strip().split("/")
         try:
-            if len(parts) == 1:
-                return cls(int(parts[0]), 1)
-            if len(parts) == 2:
-                return cls(int(parts[0]), int(parts[1]))
-        except ValueError as exc:
-            if "slope p/0" in str(exc):
-                raise
-            raise ValueError(f"malformed slope {text!r}: expected 'p/q' with integer p, q") from None
-        raise ValueError(f"malformed slope {text!r}: expected 'p/q' with integer p, q")
+            nums = [int(t) for t in text.strip().split("/")]
+        except ValueError:
+            nums = []
+        if not 1 <= len(nums) <= 2:
+            raise ValueError(f"malformed slope {text!r}: expected 'p/q' with integer p, q")
+        return cls(*nums)
 
     @property
     def fraction(self) -> Fraction:

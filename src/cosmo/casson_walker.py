@@ -100,10 +100,8 @@ def casson_walker_link_surgery(
     Dedekind symbols come from the fast evaluator in ``arith``.
     """
     a = linking_matrix(inv.lk, sx, sy)
-    d = a.det
-    if d == 0:
-        raise ValueError("not a rational homology sphere (framing matrix is singular)")
     sigma = signature_2x2(a)
+    d = a.det
     px, qx, py, qy = sx.p, sx.q, sy.p, sy.q
     lk2 = inv.lk * inv.lk
     rhs = (

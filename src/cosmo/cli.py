@@ -347,7 +347,12 @@ def _run_lambda(opt) -> int:
 def _load_matrix(opt) -> SeifertMatrix:
     if opt.get("matrix"):
         with open(opt["matrix"], encoding="utf-8") as fh:
-            return parse_seifert_matrix(fh.read())
+            m = parse_seifert_matrix(fh.read())
+        # tau is defined for knots; the constant Conway coefficient is det(S - S^T)
+        det = conway_from_seifert(m).coefficient(0)
+        if det != 1:
+            raise ValueError(f"not a knot Seifert matrix: det(S - S^T) = {det}, expected 1")
+        return m
     if opt.get("torus2") is not None:
         return seifert_torus2(opt["torus2"])
     return SeifertMatrix([])

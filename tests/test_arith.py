@@ -145,7 +145,7 @@ class TestSlope:
     def test_rejects_infinite(self):
         with pytest.raises(ValueError):
             Slope(1, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="slope p/0"):
             Slope.parse("1/0")
 
     def test_parse(self):
@@ -154,7 +154,7 @@ class TestSlope:
         assert Slope.parse("7") == Slope(7, 1)
         assert Slope.parse(" -4/6 ") == Slope(-2, 3)
         for bad in ("", "x", "1/2/3", "3.5", "1/"):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="malformed slope"):
                 Slope.parse(bad)
 
     def test_fraction_and_str(self):

@@ -1,9 +1,12 @@
 """End-to-end tests for the command-line interface."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import cosmo
 from cosmo.arith import Slope, dedekind_sum_fast
 from cosmo.cli import Command, emit_json, main, parse_args
 from cosmo.links import ConwayPoly
@@ -286,6 +289,38 @@ class TestExitCodes:
              "--s0", "1/1", "--lk", "3"],
         )
         assert code == 2 and "linking number zero" in err
+
+    @pytest.mark.parametrize(
+        "pd_text",
+        [
+            "X 1,3,2,3 +\nX 2,4,1,4 -\n",  # one-arc components each crossing (1,2) once
+            "X 1,2,1,2 +\nC 1\nC 2\n",  # two circles crossing once
+        ],
+    )
+    def test_non_planar_pd_is_exit_2(self, capsys, tmp_path, pd_text):
+        pd = tmp_path / "odd.pd"
+        pd.write_text(pd_text)
+        code, out, err = run_cli(capsys, ["conway", "--pd", str(pd)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "planar" in err
+
+    @pytest.mark.parametrize("matrix_text", ["2\n1 0\n0 1\n", "1\n0\n"])
+    def test_tau_rejects_non_knot_matrix(self, capsys, tmp_path, matrix_text):
+        mat = tmp_path / "notknot.mat"
+        mat.write_text(matrix_text)
+        code, out, err = run_cli(capsys, ["tau", "--matrix", str(mat), "--slope", "5/1"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "det(S - S^T)" in err
+
+    def test_package_has_no_assert_statements(self):
+        # python -O strips assert, so runtime checks must be explicit raises
+        offenders = []
+        for path in sorted(Path(cosmo.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert offenders == []
 
     def test_selftest_passes(self, capsys):
         code, out, _ = run_cli(capsys, ["selftest"])
