@@ -11,6 +11,7 @@ Example:
 
 import argparse
 import math
+import sys
 from fractions import Fraction
 
 from cosmo.arith import Slope, dedekind_sum_fast
@@ -44,7 +45,8 @@ def main():
 
     # the integer-framing column obeys a closed form; spot-check it here
     for p in range(2, args.max_p + 1):
-        assert lens_lambda_w(p, 1) == Fraction(-(p - 1) * (p - 2), 12 * p)
+        if lens_lambda_w(p, 1) != Fraction(-(p - 1) * (p - 2), 12 * p):
+            sys.exit(f"spot-check failed: lambda_w of L({p}, 1) is not -(p-1)(p-2)/(12p)")
 
 
 if __name__ == "__main__":

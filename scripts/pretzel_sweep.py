@@ -12,8 +12,10 @@ Example:
 """
 
 import argparse
+import sys
 
 from cosmo.arith import Slope
+from cosmo.cli import _merge_negative_values
 from cosmo.links import (
     invariants_from_diagram,
     pretzel_a3_closed_form,
@@ -44,7 +46,7 @@ def main():
     ap.add_argument("--max-b", type=int, default=3)
     ap.add_argument("--slopes", type=parse_slopes, default=parse_slopes("-1/1,1/1"))
     ap.add_argument("--skip-oracle", action="store_true", help="closed forms only, no diagrams")
-    args = ap.parse_args()
+    args = ap.parse_args(_merge_negative_values(sys.argv[1:]))
 
     header = f"{'a':>3} {'b':>3} {'twists':>12} {'a3':>6} {'slope':>6} {'discriminant':>14} {'verdict':>12} {'candidates':>12} {'oracle':>10}"
     print(header)

@@ -159,61 +159,62 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Flags whose values may start with a minus sign, like the rational -1/1 or
-# the braid word -1,2,-1, which argparse would otherwise read as an unknown
-# option when passed as a separate token.
-_NEGATIVE_VALUE_FLAGS = frozenset({"--sx", "--sy", "--slope", "--s0", "--lambda-w", "--braid"})
-_NEGATIVE_VALUE = re.compile(r"-\d+(/-?\d+|(,-?\d+)*)$")
+# A negative rational or a comma-separated list of rationals that starts with
+# a minus sign, like -1/2 or -1,2,-1.  Passed as a separate token, argparse
+# would read it as an unknown option; plain numbers like -1 it already takes
+# as values, so the lookahead asks for a "/" or ",".
+_NEGATIVE_VALUE = re.compile(r"(?=.*[/,])-\d+(/-?\d+)?(,-?\d+(/-?\d+)?)*")
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
-    merged = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _NEGATIVE_VALUE_FLAGS and i + 1 < len(argv) and _NEGATIVE_VALUE.fullmatch(argv[i + 1]):
-            merged.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    """Glue each negative-value token to the long option just before it."""
+    merged: list[str] = []
+    for tok in argv:
+        prev = merged[-1] if merged else ""
+        if prev.startswith("--") and prev != "--" and "=" not in prev and _NEGATIVE_VALUE.fullmatch(tok):
+            merged[-1] = f"{prev}={tok}"
         else:
             merged.append(tok)
-            i += 1
     return merged
+
+
+def _link_invariants(opt) -> LinkSurgeryInvariants:
+    return LinkSurgeryInvariants(a2_x=opt["a2x"], a2_y=opt["a2y"], a3=opt["a3"], lk=opt["lk"])
+
+
+# Obstruction modes: command -> mode -> (the options that select it, its
+# library call).  The calls look library functions up when they run, so a
+# rebound module name reaches them.
+_MODES = {
+    "obstruct-purely": {
+        "bl": (("delta2",), lambda o: purely_cosmetic_obstruction_bl(o["delta2"])),
+        "thm4": (("a2", "q0", "a3"), lambda o: purely_cosmetic_obstruction_thm4(o["a2"], o["q0"], o["a3"])),
+        "quad": (("a2x", "a2y", "a3", "s0"), lambda o: purely_cosmetic_quadratic(_link_invariants(o), o["s0"])),
+    },
+    "obstruct-chirally": {
+        "ihs": (("lambda_w",), lambda o: chirally_cosmetic_obstruction_ihs(o["lambda_w"])),
+        "family": (("a2", "p0"), lambda o: chirally_cosmetic_obstruction(o["a2"], o["p0"])),
+    },
+}
 
 
 def parse_args(argv: list[str] | None = None) -> Command:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    ns = parser.parse_args(_merge_negative_values(argv))
-    options = vars(ns)
+    options = vars(parser.parse_args(_merge_negative_values(argv)))
     name = options.pop("command")
-    if name == "obstruct-purely":
-        _check_purely_mode(parser, options)
-    if name == "obstruct-chirally":
-        _check_chirally_mode(parser, options)
+    modes = _MODES.get(name)
+    if modes:
+        # the mode whose options are all given, with no other mode's option
+        given = {k for flags, _ in modes.values() for k in flags if options[k] is not None}
+        picked = [mode for mode, (flags, _) in modes.items() if given == set(flags)]
+        if not picked:
+            usage = " | ".join(
+                " ".join("--" + k.replace("_", "-") for k in flags) for flags, _ in modes.values()
+            )
+            parser.error(f"{name} needs exactly one mode: {usage}")
+        options["mode"] = picked[0]
     return Command(name=name, options=options)
-
-
-def _check_purely_mode(parser, options) -> None:
-    def has(k):
-        return options.get(k) is not None
-
-    bl = has("delta2") and not any(has(k) for k in ("a2", "q0", "a3", "a2x", "a2y", "s0"))
-    thm4 = all(has(k) for k in ("a2", "q0", "a3")) and not any(has(k) for k in ("delta2", "a2x", "a2y", "s0"))
-    quad = all(has(k) for k in ("a2x", "a2y", "a3", "s0")) and not any(has(k) for k in ("delta2", "a2", "q0"))
-    picked = [m for m, on in (("bl", bl), ("thm4", thm4), ("quad", quad)) if on]
-    if len(picked) != 1:
-        parser.error(
-            "obstruct-purely needs exactly one mode: --delta2 | --a2 --q0 --a3 | --a2x --a2y --a3 --s0"
-        )
-    options["mode"] = picked[0]
-
-
-def _check_chirally_mode(parser, options) -> None:
-    has_lw = options.get("lambda_w") is not None
-    has_family = options.get("a2") is not None and options.get("p0") is not None
-    if has_lw == has_family:
-        parser.error("obstruct-chirally needs exactly one mode: --lambda-w | --a2 --p0")
-    options["mode"] = "ihs" if has_lw else "family"
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +291,6 @@ def _text_conway(p: ConwayPoly) -> str:
     return "\n".join(lines)
 
 
-def _emit(obj, fmt: str, text_renderer) -> None:
-    print(emit_json(obj) if fmt == "json" else text_renderer(obj))
-
-
 # ---------------------------------------------------------------------------
 # command handlers
 
@@ -308,19 +305,12 @@ def _crossing_limit() -> int:
         raise ValueError(f"COSMO_CROSSING_LIMIT must be an integer, got {raw!r}") from None
 
 
-def _run_dedekind(opt) -> int:
-    value = dedekind_sum_fast(opt["p"], opt["q"])
-    if opt["format"] == "json":
-        payload = {
-            "p": opt["p"],
-            "q": opt["q"],
-            "sum": _frac_full(value),
-            "symbol": _frac_full(12 * (1 if opt["q"] > 0 else -1) * value),
-        }
-        print(emit_json(payload))
-    else:
-        print(f"s({opt['p']},{opt['q']}) = {_frac_short(value)}")
-    return 0
+def _run_dedekind(opt):
+    p, q = opt["p"], opt["q"]
+    value = dedekind_sum_fast(p, q)
+    symbol = 12 * (1 if q > 0 else -1) * value
+    payload = {"p": p, "q": q, "sum": _frac_full(value), "symbol": _frac_full(symbol)}
+    return payload, f"s({p},{q}) = {_frac_short(value)}"
 
 
 def _load_diagram(opt):
@@ -328,20 +318,6 @@ def _load_diagram(opt):
         with open(opt["pd"], encoding="utf-8") as fh:
             return parse_pd(fh.read())
     return braid_closure(opt["braid"], opt["strands"])
-
-
-def _run_conway(opt) -> int:
-    d = _load_diagram(opt)
-    poly = conway_polynomial(d, crossing_limit=_crossing_limit())
-    _emit(poly, opt["format"], _text_conway)
-    return 0
-
-
-def _run_lambda(opt) -> int:
-    inv = LinkSurgeryInvariants(a2_x=opt["a2x"], a2_y=opt["a2y"], a3=opt["a3"], lk=opt["lk"])
-    result = casson_walker_link_surgery(inv, opt["sx"], opt["sy"])
-    _emit(result, opt["format"], _text_surgery)
-    return 0
 
 
 def _load_matrix(opt) -> SeifertMatrix:
@@ -358,44 +334,10 @@ def _load_matrix(opt) -> SeifertMatrix:
     return SeifertMatrix([])
 
 
-def _run_tau(opt) -> int:
+def _run_tau(opt):
     slope = opt["slope"]
     value = casson_gordon_tau(_load_matrix(opt), slope)
-    if opt["format"] == "json":
-        print(emit_json({"p": slope.p, "q": slope.q, "tau": _frac_full(value)}))
-    else:
-        print(f"tau = {_frac_short(value)}")
-    return 0
-
-
-def _run_obstruct_purely(opt) -> int:
-    mode = opt["mode"]
-    if mode == "bl":
-        report = purely_cosmetic_obstruction_bl(opt["delta2"])
-    elif mode == "thm4":
-        report = purely_cosmetic_obstruction_thm4(opt["a2"], opt["q0"], opt["a3"])
-    else:
-        inv = LinkSurgeryInvariants(
-            a2_x=opt["a2x"], a2_y=opt["a2y"], a3=opt["a3"], lk=opt["lk"]
-        )
-        report = purely_cosmetic_quadratic(inv, opt["s0"])
-    _emit(report, opt["format"], _text_report)
-    return 0
-
-
-def _run_obstruct_chirally(opt) -> int:
-    if opt["mode"] == "ihs":
-        report = chirally_cosmetic_obstruction_ihs(opt["lambda_w"])
-    else:
-        report = chirally_cosmetic_obstruction(opt["a2"], opt["p0"])
-    _emit(report, opt["format"], _text_report)
-    return 0
-
-
-def _run_pretzel(opt) -> int:
-    report = pretzel_analysis(opt["a"], opt["b"], opt["slope"])
-    _emit(report, opt["format"], _text_report)
-    return 0
+    return {"p": slope.p, "q": slope.q, "tau": _frac_full(value)}, f"tau = {_frac_short(value)}"
 
 
 def _selftest_checks():
@@ -485,7 +427,7 @@ def _selftest_checks():
     )
 
 
-def _run_selftest(opt) -> int:
+def _run_selftest() -> int:
     failures = 0
     for name, check in _selftest_checks():
         try:
@@ -499,20 +441,27 @@ def _run_selftest(opt) -> int:
     return 0 if failures == 0 else 1
 
 
+# Each reporting command returns a library value, rendered by its type, or
+# a (JSON payload, text line) pair of its own.
 _HANDLERS = {
     "dedekind": _run_dedekind,
-    "conway": _run_conway,
-    "lambda": _run_lambda,
+    "conway": lambda o: conway_polynomial(_load_diagram(o), crossing_limit=_crossing_limit()),
+    "lambda": lambda o: casson_walker_link_surgery(_link_invariants(o), o["sx"], o["sy"]),
     "tau": _run_tau,
-    "obstruct-purely": _run_obstruct_purely,
-    "obstruct-chirally": _run_obstruct_chirally,
-    "pretzel": _run_pretzel,
-    "selftest": _run_selftest,
+    "pretzel": lambda o: pretzel_analysis(o["a"], o["b"], o["slope"]),
 }
+_TEXT = {SurgeryResult: _text_surgery, ObstructionReport: _text_report, ConwayPoly: _text_conway}
 
 
 def run(cmd: Command) -> int:
-    return _HANDLERS[cmd.name](cmd.options)
+    opt = cmd.options
+    if cmd.name == "selftest":
+        return _run_selftest()
+    handler = _MODES[cmd.name][opt["mode"]][1] if cmd.name in _MODES else _HANDLERS[cmd.name]
+    result = handler(opt)
+    payload, text = result if isinstance(result, tuple) else (result, _TEXT[type(result)](result))
+    print(emit_json(payload) if opt["format"] == "json" else text)
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -174,10 +174,9 @@ class LinkDiagram:
             for x, y in zip(cyc, cyc[1:] + cyc[:1]):
                 if succ.get(x) != y:
                     raise DiagramError(f"component cycle breaks at arc {x}: expected successor {succ.get(x)}, got {y}")
-        if seen.symmetric_difference(succ):
-            missing = set(succ).symmetric_difference(seen) - {a for c in comps if len(c) == 1 for a in c}
-            if missing:
-                raise DiagramError(f"component cycles do not cover arcs {sorted(missing)}")
+        missing = succ.keys() - seen
+        if missing:
+            raise DiagramError(f"component cycles do not cover arcs {sorted(missing)}")
 
     # -- elementary facts ---------------------------------------------------
 
@@ -190,7 +189,7 @@ class LinkDiagram:
         """Same diagram with crossing i switched (arc structure is unchanged)."""
         xs = list(self.crossings)
         xs[i] = xs[i].switched()
-        return LinkDiagram(xs, self.components, self.base_points)
+        return LinkDiagram(xs, self.components)
 
     def smooth_crossing(self, i: int) -> "LinkDiagram":
         """Oriented smoothing at crossing i: under-in joins over-out, over-in joins under-out."""

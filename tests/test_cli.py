@@ -2,6 +2,7 @@
 
 import ast
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,10 @@ class TestParseArgs:
         assert cmd.options["sx"] == Slope(3, 1)
         assert cmd.options["sy"] == Slope(-1, 1)
         assert cmd.options["a3"] == -2
+        cmd = parse_args(["obstruct-purely", "--a2x", "0", "--a2y", "1", "--a3", "-2", "--s0", "-1/2"])
+        assert cmd.options["s0"] == Slope(-1, 2)
+        cmd = parse_args(["obstruct-chirally", "--lambda-w", "-1/18"])
+        assert cmd.options["lambda_w"] == Fraction(-1, 18)
 
     def test_slope_accepts_bare_integer(self):
         cmd = parse_args(["pretzel", "--a", "1", "--b", "1", "--slope", "-1"])
@@ -86,6 +91,12 @@ class TestParseArgs:
             parse_args(["obstruct-chirally", "--lambda-w", "0", "--a2", "0", "--p0", "5"])
         with pytest.raises(SystemExit):
             parse_args(["obstruct-chirally", "--a2", "0"])
+
+    def test_chirally_partial_second_mode_rejected(self, capsys):
+        # --a2 without --p0 is part of the family mode, so it conflicts with --lambda-w
+        code, out, err = run_cli(capsys, ["obstruct-chirally", "--lambda-w", "1", "--a2", "3"])
+        assert code == 2 and out == ""
+        assert err.endswith("obstruct-chirally needs exactly one mode: --lambda-w | --a2 --p0\n")
 
     def test_conway_needs_exactly_one_source(self):
         with pytest.raises(SystemExit):
@@ -316,8 +327,9 @@ class TestExitCodes:
 
     def test_package_has_no_assert_statements(self):
         # python -O strips assert, so runtime checks must be explicit raises
+        scripts = Path(__file__).resolve().parent.parent / "scripts"
         offenders = []
-        for path in sorted(Path(cosmo.__file__).parent.glob("*.py")):
+        for path in sorted(Path(cosmo.__file__).parent.glob("*.py")) + sorted(scripts.glob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
             offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert offenders == []
