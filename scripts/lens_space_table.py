@@ -15,7 +15,8 @@ import sys
 from fractions import Fraction
 
 from cosmo.arith import Slope, dedekind_sum_fast
-from cosmo.casson_walker import LinkSurgeryInvariants, casson_walker_link_surgery
+from cosmo.casson_walker import casson_walker_link_surgery
+from cosmo.links import LinkSurgeryInvariants
 from cosmo.seifert import SeifertMatrix, casson_gordon_tau
 
 TRIVIAL = LinkSurgeryInvariants(a2_x=0, a2_y=0, a3=0, lk=0)

@@ -115,21 +115,24 @@ def dedekind_sum_naive(p: int, q: int) -> Fraction:
 def dedekind_sum_fast(p: int, q: int) -> Fraction:
     """s(p, q) via the reciprocity recursion, O(log |q|) exact steps.
 
-    Uses s(h, k) = -1/4 + (h^2 + k^2 + 1)/(12 h k) - s(k mod h, h) for
+    Uses 12 s(h, k) = (h^2 + k^2 + 1 - 3 h k)/(h k) - 12 s(k mod h, h) for
     coprime 0 < h < k, unwinding like the Euclidean algorithm.  Evenness in
     the modulus sign and periodicity in the first argument are applied first.
+    The terms are summed over one integer denominator, and one Fraction is
+    built at the end.  6 q s(p, q) is an integer (Rademacher-Grosswald,
+    *Dedekind Sums*, ch. 3), which the surgery formula relies on.
     """
     _require_coprime(p, q)
     k = abs(q)
     h = p % k  # reduces to 0 <= h < k; oddness is recovered through the recursion
-    total = Fraction(0)
-    negate = False
+    num, den, sign = 0, 1, 1  # 12 s = num/den
     while k > 1:
-        term = Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4)
-        total += -term if negate else term
-        negate = not negate
+        hk = h * k
+        num = num * hk + sign * (h * h + k * k + 1 - 3 * hk) * den
+        den *= hk
+        sign = -sign
         h, k = k % h, h
-    return total
+    return Fraction(num, 12 * den)
 
 
 def dedekind_symbol(s: Slope) -> Fraction:

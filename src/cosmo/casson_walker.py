@@ -8,7 +8,9 @@ components of a 2-component link with framing matrix
 [[px/qx, lk], [lk, py/qy]]; the defining relation fixes lambda_w / 2 up to
 the matrix signature times 1/8 and a sum of ten exact rational terms, and
 is solved for lambda_w by division by the determinant, which must be
-nonzero (the result is a rational homology sphere exactly then).
+nonzero (the result is a rational homology sphere exactly then).  The ten
+terms are summed as one integer over 24 qx^2 qy^2, exact because 6 q s(p, q)
+is an integer.
 
 Both normalizations are carried: lambda_w (Walker) is twice lambda (Casson),
 and SurgeryResult stores the pair so no caller needs to re-derive one from
@@ -80,14 +82,18 @@ def linking_matrix(lk: int, sx: Slope, sy: Slope) -> LinkingMatrix2:
     return LinkingMatrix2(xx=sx.fraction, yy=sy.fraction, xy=lk)
 
 
+def _signature(det, trace) -> int:
+    """Signature of a symmetric 2x2 form from the signs of its determinant and trace."""
+    if det == 0:
+        raise ValueError("not a rational homology sphere (framing matrix is singular)")
+    if det < 0:
+        return 0
+    return 2 if trace > 0 else -2
+
+
 def signature_2x2(a: LinkingMatrix2) -> int:
     """Signature of the framing matrix, decided in exact rational arithmetic."""
-    d = a.det
-    if d == 0:
-        raise ValueError("not a rational homology sphere (framing matrix is singular)")
-    if d < 0:
-        return 0
-    return 2 if a.trace > 0 else -2
+    return _signature(a.det, a.trace)
 
 
 def casson_walker_link_surgery(
@@ -96,28 +102,34 @@ def casson_walker_link_surgery(
     """Casson-Walker invariant of surgery on both components of a link.
 
     The ten-term right side below, divided by the framing determinant and
-    shifted by signature/8, is half of lambda_w.  Everything is exact; the
-    Dedekind symbols come from the fast evaluator in ``arith``.
+    shifted by signature/8, is half of lambda_w.  Each line of n below is
+    24 qx^2 qy^2 times the term in its comment, an integer since
+    q S(p/q) = 12 q s(p, q) is one (Rademacher-Grosswald, *Dedekind Sums*,
+    ch. 3).  With dn = det qx qy, lambda_w = (n + 3 sigma qx qy dn) / (12 qx qy dn).
     """
-    a = linking_matrix(inv.lk, sx, sy)
-    sigma = signature_2x2(a)
-    d = a.det
-    px, qx, py, qy = sx.p, sx.q, sy.p, sy.q
-    lk2 = inv.lk * inv.lk
-    rhs = (
-        inv.a2_x * Q(py, qy)
-        - Q(py, 24 * qy)
-        - Q(py, 24 * qy * qx * qx)
-        + Q(py * lk2, 24 * qy)
-        + inv.a2_y * Q(px, qx)
-        - Q(px, 24 * qx)
-        - Q(px, 24 * qx * qy * qy)
-        + Q(px * lk2, 24 * qx)
-        + 2 * v3(inv)
-        + (d / 24) * (dedekind_symbol(sx) - Q(px, qx) + dedekind_symbol(sy) - Q(py, qy))
+    if not all(isinstance(x, int) for x in inv):
+        raise ValueError(f"link invariants must be integers, got {inv!r}")
+    px, qx, py, qy, lk = sx.p, sx.q, sy.p, sy.q, inv.lk
+    dn = px * py - lk * lk * qx * qy
+    sigma = _signature(dn, px * qy + py * qx)  # det and trace times qx qy > 0
+    qx2, qy2, lk2 = qx * qx, qy * qy, lk * lk
+    v3_24 = (24 * v3(inv)).numerator  # 24 v3 = 12 (-a3 + (a2_x + a2_y) lk) + lk^3 - lk
+    s_x, s_y = dedekind_symbol(sx), dedekind_symbol(sy)
+    qs_x, qs_y = qx * s_x.numerator // s_x.denominator, qy * s_y.numerator // s_y.denominator
+    n = (
+        24 * inv.a2_x * py * qy * qx2  # a2_x py/qy
+        - py * qy * qx2  # - py/(24 qy)
+        - py * qy  # - py/(24 qy qx^2)
+        + py * lk2 * qy * qx2  # + py lk^2/(24 qy)
+        + 24 * inv.a2_y * px * qx * qy2  # + a2_y px/qx
+        - px * qx * qy2  # - px/(24 qx)
+        - px * qx  # - px/(24 qx qy^2)
+        + px * lk2 * qx * qy2  # + px lk^2/(24 qx)
+        + 2 * v3_24 * qx2 * qy2  # + 2 v3
+        + dn * (qy * qs_x - px * qy + qx * qs_y - py * qx)  # + (det/24)(S(sx) - px/qx + S(sy) - py/qy)
     )
-    lambda_w = 2 * (rhs / d + Q(sigma, 8))
-    return SurgeryResult(lambda_w=lambda_w, D=d, sigma=sigma, lambda_=lambda_w / 2)
+    lambda_w = Fraction(n + 3 * sigma * qx * qy * dn, 12 * qx * qy * dn)
+    return SurgeryResult(lambda_w=lambda_w, D=Fraction(dn, qx * qy), sigma=sigma, lambda_=lambda_w / 2)
 
 
 def casson_boyer_lines(lambda_sigma: Fraction, delta2: int, s: Slope) -> Fraction:

@@ -94,7 +94,7 @@ def _rational(text: str) -> Fraction:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(t) for t in text.split(",") if t.strip()]
+        return [int(t) for t in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}") from None
 
@@ -471,7 +471,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return run(cmd)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

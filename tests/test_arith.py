@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,22 @@ class TestDedekindSum:
     def test_fast_matches_naive(self, pq):
         p, q = pq
         assert dedekind_sum_fast(p, q) == dedekind_sum_naive(p, q)
+
+    def test_fast_matches_naive_seeded(self):
+        rng = random.Random(20260602)
+        checked = 0
+        while checked < 500:
+            p, q = rng.randint(-10**6, 10**6), rng.choice([-1, 1]) * rng.randint(1, 2000)
+            if math.gcd(p, q) == 1:
+                assert dedekind_sum_fast(p, q) == dedekind_sum_naive(p, q), (p, q)
+                checked += 1
+
+    def test_six_q_times_sum_is_integer(self):
+        # the surgery formula sums q S(p/q) = 12 q s(p, q) as an integer
+        for q in range(1, 80):
+            for p in range(-q, q + 1):
+                if math.gcd(p, q) == 1:
+                    assert (6 * q * dedekind_sum_naive(p, q)).denominator == 1, (p, q)
 
     @given(coprime_pairs)
     def test_parity_symmetries(self, pq):

@@ -1,12 +1,14 @@
 """Surgery formula tests: lens values, consistency, exact identities."""
 
 import math
+import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cosmo.arith import Slope
+from cosmo.arith import Q, Slope, dedekind_symbol
 from cosmo.casson_walker import (
     LinkingMatrix2,
     SurgeryResult,
@@ -16,7 +18,7 @@ from cosmo.casson_walker import (
     linking_matrix,
     signature_2x2,
 )
-from cosmo.links import LinkSurgeryInvariants
+from cosmo.links import LinkSurgeryInvariants, v3
 
 
 def coprime_slope(p_lo, p_hi, q_hi):
@@ -120,6 +122,14 @@ class TestLinkSurgery:
         with pytest.raises(ValueError, match="not a rational homology sphere"):
             casson_walker_link_surgery(inv, Slope(1, 1), Slope(1, 1))
 
+    @pytest.mark.parametrize(
+        "inv",
+        [LinkSurgeryInvariants(0, 0, 0, Fraction(1, 2)), LinkSurgeryInvariants(0, 0, Fraction(1, 5), 1)],
+    )
+    def test_non_integer_invariants_rejected(self, inv):
+        with pytest.raises(ValueError, match="must be integers"):
+            casson_walker_link_surgery(inv, Slope(3, 2), Slope(5, 1))
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.tuples(small_ints, small_ints, small_ints, st.integers(-3, 3)).map(
@@ -145,6 +155,61 @@ class TestLinkSurgery:
         link_route = casson_walker_link_surgery(inv, s, Slope(1, 1)).lambda_w
         knot_route = casson_boyer_lines(Fraction(0), 2 * a2, s)
         assert link_route == lambda_w_from_lambda(knot_route)
+
+
+def ten_term_fraction_route(inv, sx, sy):
+    """The surgery formula as a sum of ten Fraction terms, kept as an oracle.
+
+    The library sums the same terms as one integer over 24 qx^2 qy^2.
+    """
+    a = linking_matrix(inv.lk, sx, sy)
+    sigma = signature_2x2(a)
+    d = a.det
+    px, qx, py, qy = sx.p, sx.q, sy.p, sy.q
+    lk2 = inv.lk * inv.lk
+    rhs = (
+        inv.a2_x * Q(py, qy)
+        - Q(py, 24 * qy)
+        - Q(py, 24 * qy * qx * qx)
+        + Q(py * lk2, 24 * qy)
+        + inv.a2_y * Q(px, qx)
+        - Q(px, 24 * qx)
+        - Q(px, 24 * qx * qy * qy)
+        + Q(px * lk2, 24 * qx)
+        + 2 * v3(inv)
+        + (d / 24) * (dedekind_symbol(sx) - Q(px, qx) + dedekind_symbol(sy) - Q(py, qy))
+    )
+    lambda_w = 2 * (rhs / d + Q(sigma, 8))
+    return SurgeryResult(lambda_w=lambda_w, D=d, sigma=sigma, lambda_=lambda_w / 2)
+
+
+class TestTenTermOracle:
+    def test_matches_fraction_route_on_seeded_inputs(self):
+        rng = random.Random(20260601)
+
+        def slope():
+            p, q = rng.randint(-400, 400), rng.choice([1, rng.randint(1, 400)])
+            return Slope(p, q)
+
+        checked = singular = 0
+        for _ in range(2400):
+            inv = LinkSurgeryInvariants(
+                rng.randint(-20, 20), rng.randint(-20, 20), rng.randint(-40, 40), rng.randint(-4, 4)
+            )
+            sx, sy = slope(), slope()
+            if rng.random() < 0.05:  # a singular framing: px py = lk^2 qx qy
+                px = rng.choice([1, 2, 4, 8, 16])
+                inv, sx, sy = inv._replace(lk=rng.choice([-4, 4])), Slope(px), Slope(16 // px)
+            try:
+                expected = ten_term_fraction_route(inv, sx, sy)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    casson_walker_link_surgery(inv, sx, sy)
+                singular += 1
+                continue
+            assert casson_walker_link_surgery(inv, sx, sy) == expected, (inv, sx, sy)
+            checked += 1
+        assert checked >= 2000 and singular > 0
 
 
 class TestKnotSurgery:

@@ -325,6 +325,34 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "det(S - S^T)" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["conway", "--braid=-1,,2", "--strands", "3"],
+            ["conway", "--braid=1,,1,1", "--strands", "2"],
+            ["conway", "--braid=1,1,", "--strands", "2"],
+        ],
+    )
+    def test_empty_braid_letter_is_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"cosmo conway: error: argument --braid: expected a comma-separated integer list, got {argv[1][8:]!r}"
+        ]
+
+    def test_inexact_elimination_is_exit_2(self, capsys, monkeypatch, tmp_path):
+        import cosmo.seifert as seifert_mod
+
+        def inexact(num, den):
+            raise ArithmeticError("inexact polynomial division in determinant elimination")
+
+        monkeypatch.setattr(seifert_mod, "_pdiv_exact", inexact)
+        mat = tmp_path / "trefoil.mat"
+        mat.write_text("2\n-1 1\n0 -1\n")
+        code, out, err = run_cli(capsys, ["tau", "--matrix", str(mat), "--slope", "5/1"])
+        assert code == 2 and out == ""
+        assert err == "error: inexact polynomial division in determinant elimination\n"
+
     def test_package_has_no_assert_statements(self):
         # python -O strips assert, so runtime checks must be explicit raises
         scripts = Path(__file__).resolve().parent.parent / "scripts"
