@@ -416,6 +416,7 @@ def _selftest_checks():
             casson_gordon_tau(seifert_torus2(3), Slope(2, 1)) == 2
             and casson_gordon_tau(SeifertMatrix([]), Slope(7, 3))
             == -28 * dedekind_sum_fast(3, 7)
+            and casson_gordon_tau(SeifertMatrix([[-10831, -7463], [-7464, -5143]]), Slope(5, 1)) == 4
         ),
     )
     yield (

@@ -1,16 +1,19 @@
 """Seifert-matrix invariants: Conway/Alexander data, signatures, surgery tau.
 
-The determinant route to the Conway polynomial evaluates det(x S - x^-1 S^T)
-by fraction-free elimination over integer polynomials and rewrites the
-resulting Laurent polynomial in z = x - x^-1.  It is deliberately independent
-of the skein recursion in ``links`` so the two can check each other.
+Both exact routes run on one fraction-free integer elimination (Bareiss).
+The determinant route to the Conway polynomial evaluates det(y S - S^T) at
+y = 0..n, recovers its integer coefficients from forward differences, and
+rewrites det(x S - x^-1 S^T) in z = x - x^-1.  It is deliberately
+independent of the skein recursion in ``links`` so the two can check each
+other.  The total signature over the p-th roots of unity, which is all that
+surgery tau needs, is the signature of one symmetric integer matrix of size
+n(p-1), read off the signs of its pivots; no float is involved.
 
-Signatures of the Hermitian form (1-w) S + (1-conj(w)) S^T at unit-modulus w
-come from cyclic Jacobi rotations on the complex matrix itself: each rotation
-first turns its pivot entry real by a phase, then applies the real rotation.
-Eigenvalues within 1e-9 of zero (relative to the max row sum of |Re| + |Im|)
-count as zero; the matrices here are tiny, so robustness is worth more than
-speed.
+Signatures of the Hermitian form (1-w) S + (1-conj(w)) S^T at an arbitrary
+unit-modulus w come from cyclic Jacobi rotations on the complex matrix
+itself: each rotation first turns its pivot entry real by a phase, then
+applies the real rotation.  Eigenvalues within 1e-9 of zero (relative to the
+max row sum of |Re| + |Im|) count as zero.  This is the only float code.
 
 The text format for matrices is: first line the size n, then n rows of n
 integers; ``#`` starts a comment.
@@ -18,10 +21,9 @@ integers; ``#`` starts a comment.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .arith import Q, Slope, dedekind_sum_fast
 from .links import ConwayPoly
@@ -94,77 +96,66 @@ def seifert_torus2(n: int) -> SeifertMatrix:
 
 
 # ---------------------------------------------------------------------------
-# dense integer polynomials (index = degree) and fraction-free determinants
+# fraction-free integer elimination
 
 
-def _ptrim(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def _pivots(rows: list[dict[int, int]], symmetric: bool) -> list[int]:
+    """Nonzero pivots of fraction-free (Bareiss) elimination without swaps.
 
+    ``rows[i]`` maps column to entry and is consumed; its keys must include
+    every i' > i with rows[i'][i] != 0, which a symmetric sparse matrix and a
+    dense one both satisfy.  The pivots are the successive leading principal
+    minors after unimodular changes that keep the determinant and, for a
+    symmetric matrix, the congruence class:
 
-def _pmul(p: Sequence[int], q: Sequence[int]) -> list[int]:
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return _ptrim(out)
+    - a zero pivot k with rows[j][k] != 0 for some j > k gets row j added to
+      row k.  When symmetric, column j is added to column k as well, both
+      times t for the sign t in {1, -1} that makes the new pivot
+      2 t m[k][j] + m[j][j] nonzero;
+    - a column with nothing at or below the diagonal gives no pivot.  In a
+      symmetric matrix its row is zero as well, so it lies in the radical.
 
+    A row that pivot k does not reach keeps the units of the last pivot that
+    did (``at``) and is rescaled only when next used, so a banded matrix is
+    worked only inside its band.  The rescaled entries are minors of the
+    matrix again (Sylvester's identity), so every division is exact.
+    """
+    at = [1] * len(rows)
+    prev = 1
+    pivots: list[int] = []
 
-def _psub(p: Sequence[int], q: Sequence[int]) -> list[int]:
-    out = list(p) + [0] * (len(q) - len(p))
-    for i, b in enumerate(q):
-        out[i] -= b
-    return _ptrim(out)
+    def lift(r: int) -> dict[int, int]:
+        if at[r] != prev:
+            rows[r] = {c: v * prev // at[r] for c, v in rows[r].items()}
+            at[r] = prev
+        return rows[r]
 
-
-def _pdiv_exact(num: Sequence[int], den: Sequence[int]) -> list[int]:
-    """Exact division in Z[y]; the elimination below only produces exact cases."""
-    if not den:
-        raise ZeroDivisionError("division by zero polynomial")
-    rem = list(num)
-    quo = [0] * max(len(rem) - len(den) + 1, 0)
-    lead = den[-1]
-    while len(rem) >= len(den):
-        q, r = divmod(rem[-1], lead)
-        if r:
-            raise ArithmeticError("inexact polynomial division in determinant elimination")
-        k = len(rem) - len(den)
-        quo[k] = q
-        for i, b in enumerate(den):
-            rem[k + i] -= q * b
-        _ptrim(rem)
-    if rem:
-        raise ArithmeticError("inexact polynomial division in determinant elimination")
-    return _ptrim(quo)
-
-
-def _poly_det(m: list[list[list[int]]]) -> list[int]:
-    """Determinant of a matrix of integer polynomials, Bareiss elimination."""
-    n = len(m)
-    if n == 0:
-        return [1]
-    m = [row[:] for row in m]
-    sign = 1
-    prev = [1]
-    for k in range(n - 1):
-        pivot_row = next((i for i in range(k, n) if m[i][k]), None)
-        if pivot_row is None:
-            return []
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = _psub(_pmul(m[k][k], m[i][j]), _pmul(m[i][k], m[k][j]))
-                m[i][j] = _pdiv_exact(num, prev)
-            m[i][k] = []
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return [-c for c in det] if sign < 0 else det
+    for k in range(len(rows)):
+        row = lift(k)
+        if not row.get(k):
+            j = next((j for j in row if j > k and rows[j].get(k)), None)
+            if j is None:
+                continue
+            other = lift(j)
+            t = -1 if symmetric and 2 * other[k] + other.get(j, 0) == 0 else 1
+            for c, v in other.items():
+                row[c] = row.get(c, 0) + t * v
+            if symmetric:
+                for i in [i for i in other if i >= k]:
+                    rows[i][k] = rows[i].get(k, 0) + t * rows[i].get(j, 0)
+        piv = row[k]
+        for i in [i for i in row if i > k and rows[i].get(k)]:
+            other = lift(i)
+            f = other[k]
+            rows[i] = {
+                c: (piv * other.get(c, 0) - f * row.get(c, 0)) // prev
+                for c in other.keys() | row.keys()
+                if c > k
+            }
+            at[i] = piv
+        pivots.append(piv)
+        prev = piv
+    return pivots
 
 
 def _laurent_to_z(laurent: dict[int, int]) -> dict[int, int]:
@@ -193,18 +184,30 @@ def _laurent_to_z(laurent: dict[int, int]) -> dict[int, int]:
 
 
 def conway_from_seifert(s: SeifertMatrix) -> ConwayPoly:
-    """Conway polynomial via det(x S - x^-1 S^T), rewritten in z = x - x^-1."""
+    """Conway polynomial via det(x S - x^-1 S^T), rewritten in z = x - x^-1.
+
+    det(x S - x^-1 S^T) = x^-n f(x^2) for f(y) = det(y S - S^T), of degree at
+    most n.  f is evaluated at y = 0..n by integer elimination; its k-th
+    forward difference at 0 is k! times the integer c_k in the Newton form
+    f(y) = sum_k c_k y (y - 1) ... (y - k + 1), expanded here by Horner.
+    """
     n = s.size
     if n == 0:
         return ConwayPoly.one()
-    # det(x S - x^-1 S^T) = x^-n det(y S - S^T) at y = x^2
-    m = [
-        [_ptrim([-s.entries[j][i], s.entries[i][j]]) for j in range(n)]
-        for i in range(n)
-    ]
-    p = _poly_det(m)
-    laurent = {2 * k - n: c for k, c in enumerate(p) if c}
-    return ConwayPoly(_laurent_to_z(laurent))
+    e = s.entries
+    values = []
+    for y in range(n + 1):
+        pivots = _pivots([{j: y * e[i][j] - e[j][i] for j in range(n)} for i in range(n)], symmetric=False)
+        values.append(pivots[-1] if len(pivots) == n else 0)
+    newton = []
+    for k in range(n + 1):
+        newton.append(values[0] // math.factorial(k))
+        values = [b - a for a, b in zip(values, values[1:])]
+    f = [0] * (n + 1)
+    for k in range(n, -1, -1):
+        f = [a - k * b for a, b in zip([0] + f, f)]
+        f[0] += newton[k]
+    return ConwayPoly(_laurent_to_z({2 * k - n: c for k, c in enumerate(f) if c}))
 
 
 def alexander_second_derivative(s: SeifertMatrix) -> int:
@@ -265,7 +268,7 @@ def levine_tristram_signature(s: SeifertMatrix, omega: complex) -> int:
     form itself.
     """
     omega = complex(omega)
-    if abs(abs(omega) - 1.0) > 1e-12:
+    if not abs(abs(omega) - 1.0) <= 1e-12:
         raise ValueError(f"omega must lie on the unit circle, got |omega| = {abs(omega)!r}")
     n = s.size
     if n == 0:
@@ -282,13 +285,32 @@ def levine_tristram_signature(s: SeifertMatrix, omega: complex) -> int:
 
 
 def total_p_signature(s: SeifertMatrix, p: int) -> int:
-    """Sum of the unit-circle signatures over all p-th roots of unity."""
+    """Sum of the unit-circle signatures over all p-th roots of unity.
+
+    Computed exactly as the signature of the integer form of size n(p-1)
+    with diagonal blocks S + S^T, -S just above them and -S^T just below
+    (Kauffman-Taylor).  The block circulant with p such block rows splits
+    over the p-th roots w into (1-w) S + (1-conj(w)) S^T, and dropping its
+    last block row and column removes the radical of the w = 1 summand.
+    The pivots are leading principal minors, so each sign change along
+    1, d_1, d_2, ... is one negative square (Jacobi).
+    """
     if p < 1:
         raise ValueError(f"root count p must be a positive integer, got {p}")
-    return sum(
-        levine_tristram_signature(s, cmath.exp(2j * cmath.pi * k / p))
-        for k in range(p)
+    n, e = s.size, s.entries
+    blocks = (
+        (-1, [[-e[j][i] for j in range(n)] for i in range(n)]),
+        (0, [[e[i][j] + e[j][i] for j in range(n)] for i in range(n)]),
+        (1, [[-e[i][j] for j in range(n)] for i in range(n)]),
     )
+    rows = [
+        {(b + d) * n + j: v for d, block in blocks if 0 <= b + d < p - 1 for j, v in enumerate(block[i]) if v}
+        for b in range(p - 1)
+        for i in range(n)
+    ]
+    pivots = _pivots(rows, symmetric=True)
+    negative = sum((a < 0) != (b < 0) for a, b in zip([1] + pivots, pivots))
+    return len(pivots) - 2 * negative
 
 
 def casson_gordon_tau(s: SeifertMatrix, slope: Slope) -> Fraction:

@@ -341,17 +341,26 @@ class TestExitCodes:
         ]
 
     def test_inexact_elimination_is_exit_2(self, capsys, monkeypatch, tmp_path):
-        import cosmo.seifert as seifert_mod
+        import cosmo.cli as cli_mod
 
-        def inexact(num, den):
-            raise ArithmeticError("inexact polynomial division in determinant elimination")
+        def inexact(s, slope):
+            raise ArithmeticError("inexact division in signature elimination")
 
-        monkeypatch.setattr(seifert_mod, "_pdiv_exact", inexact)
+        monkeypatch.setattr(cli_mod, "casson_gordon_tau", inexact)
         mat = tmp_path / "trefoil.mat"
         mat.write_text("2\n-1 1\n0 -1\n")
         code, out, err = run_cli(capsys, ["tau", "--matrix", str(mat), "--slope", "5/1"])
         assert code == 2 and out == ""
-        assert err == "error: inexact polynomial division in determinant elimination\n"
+        assert err == "error: inexact division in signature elimination\n"
+
+    def test_tau_exact_on_wide_congruent_matrix(self, capsys, tmp_path):
+        # congruent to the trefoil's matrix; at e^(2 pi i/5) its form has an eigenvalue of -2.4e-5
+        mat = tmp_path / "wide.mat"
+        mat.write_text("2\n-10831 -7463\n-7464 -5143\n")
+        code, out, err = run_cli(capsys, ["tau", "--matrix", str(mat), "--slope", "5/1"])
+        assert (code, out, err) == (0, "tau = 4\n", "")
+        code, out, _ = run_cli(capsys, ["tau", "--torus2", "3", "--slope", "5/1"])
+        assert (code, out) == (0, "tau = 4\n")
 
     def test_package_has_no_assert_statements(self):
         # python -O strips assert, so runtime checks must be explicit raises

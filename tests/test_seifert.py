@@ -1,7 +1,9 @@
 """Seifert pipeline tests: determinant route, signatures, surgery tau."""
 
 import cmath
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -41,6 +43,57 @@ def hermitian_signature_2x2(s: SeifertMatrix, omega: complex) -> int:
     if abs(tr) <= 1e-9 * scale:
         return 0
     return 1 if tr > 0 else -1
+
+
+def leibniz_laurent(s: SeifertMatrix) -> dict[int, int]:
+    """det(x S - x^-1 S^T) as {exponent: coefficient}, by the permutation expansion."""
+    n = s.size
+    out: dict[int, int] = {}
+    for perm in itertools.permutations(range(n)):
+        terms = {0: (-1) ** sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))}
+        for i, j in enumerate(perm):
+            entry = {1: s.entries[i][j], -1: -s.entries[j][i]}
+            step: dict[int, int] = {}
+            for e1, c1 in terms.items():
+                for e2, c2 in entry.items():
+                    step[e1 + e2] = step.get(e1 + e2, 0) + c1 * c2
+            terms = step
+        for e, c in terms.items():
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def z_to_laurent(poly: ConwayPoly) -> dict[int, int]:
+    """Expand sum c_d z^d at z = x - x^-1 by the binomial theorem."""
+    out: dict[int, int] = {}
+    for d, c in poly.coefficients.items():
+        for j in range(d + 1):
+            out[d - 2 * j] = out.get(d - 2 * j, 0) + c * (-1) ** j * math.comb(d, j)
+    return {e: c for e, c in out.items() if c}
+
+
+def descartes_signature(a: list[list[int]]) -> int:
+    """Signature of a symmetric integer matrix from its characteristic polynomial.
+
+    All its roots are real, so Descartes' rule of signs counts the positive
+    ones exactly, and the negative ones as the positive roots of p(-t).
+    """
+    n = len(a)
+    # Faddeev-LeVerrier: c[k] is the coefficient of t^(n-k)
+    c = [Fraction(1)]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [
+            [sum(a[i][l] * m[l][j] for l in range(n)) + (c[-1] if i == j else 0) for j in range(n)]
+            for i in range(n)
+        ]
+        c.append(-sum(a[i][l] * m[l][i] for i in range(n) for l in range(n)) / k)
+
+    def changes(seq):
+        nonzero = [x for x in seq if x]
+        return sum((x < 0) != (y < 0) for x, y in zip(nonzero, nonzero[1:]))
+
+    return changes(c) - changes([x * (-1) ** k for k, x in enumerate(c)])
 
 
 small_matrices = st.integers(min_value=-4, max_value=4)
@@ -136,6 +189,24 @@ class TestConwayRoute:
         poly = conway_from_seifert(s)
         assert all(e % 2 == 1 for e in poly.coefficients)
 
+    def test_matches_leibniz_expansion(self):
+        rng = random.Random(20261019)
+        cases = [SeifertMatrix([[0] * n for _ in range(n)]) for n in (1, 2, 3)]
+        cases += [
+            SeifertMatrix([[1, 2, 0], [-1, 1, 0], [0, 0, 0]]),  # a zero row and column
+            SeifertMatrix([[1, 2], [2, 4]]),  # symmetric and singular: (x - x^-1)^2 det S = 0
+        ]
+        for _ in range(250):
+            n = rng.randint(1, 4)
+            cases.append(SeifertMatrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]))
+        singular = 0
+        for s in cases:
+            expected = leibniz_laurent(s)
+            singular += not expected
+            assert z_to_laurent(conway_from_seifert(s)) == expected, s
+        assert singular >= 15
+        assert {s.size % 2 for s in cases} == {0, 1}
+
     def test_reduction_rejects_non_symmetric_laurent(self):
         with pytest.raises(ValueError, match="not a valid Seifert matrix"):
             _laurent_to_z({1: 1, -1: 1})
@@ -178,6 +249,11 @@ class TestSignatures:
         with pytest.raises(ValueError, match="unit circle"):
             levine_tristram_signature(seifert_torus2(3), 2.0)
 
+    @pytest.mark.parametrize("omega", [complex(math.nan, 0), complex(math.nan, 1)])
+    def test_nan_omega_rejected(self, omega):
+        with pytest.raises(ValueError, match="unit circle"):
+            levine_tristram_signature(seifert_torus2(3), omega)
+
     @settings(max_examples=60, deadline=None)
     @given(matrix_strategy(2), unit_omegas)
     @example(SeifertMatrix([[3, 1], [1, 0]]), complex(0.9999999985000066, 5.4772133583559324e-05))
@@ -198,6 +274,53 @@ class TestSignatures:
         assert total_p_signature(SeifertMatrix([]), 7) == 0
         with pytest.raises(ValueError):
             total_p_signature(tre, 0)
+
+    def test_wide_congruent_matrix(self):
+        # congruent to seifert_torus2(3); at e^(2 pi i/5) its form has an eigenvalue of -2.4e-5,
+        # below the float route's zero tolerance
+        wide = SeifertMatrix([[-10831, -7463], [-7464, -5143]])
+        assert total_p_signature(wide, 5) == total_p_signature(seifert_torus2(3), 5) == -8
+        assert casson_gordon_tau(wide, Slope(5, 1)) == 4
+
+    def test_total_matches_float_route_on_small_matrices(self):
+        rng = random.Random(20261020)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            s = SeifertMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+            p = rng.randint(1, 9)
+            float_route = sum(levine_tristram_signature(s, cmath.exp(2j * cmath.pi * k / p)) for k in range(p))
+            assert total_p_signature(s, p) == float_route, (s, p)
+
+    @pytest.mark.parametrize("p", [1001, 1002])
+    def test_trefoil_closed_form_at_large_p(self, p):
+        # the trefoil's signature at e^(2 pi i t), 0 <= t < 1
+        def sigma(t):
+            if Fraction(1, 6) < t < Fraction(5, 6):
+                return -2
+            return -1 if t in (Fraction(1, 6), Fraction(5, 6)) else 0
+
+        assert total_p_signature(seifert_torus2(3), p) == sum(sigma(Fraction(k, p)) for k in range(p))
+
+    def test_degenerate_symmetric_forms(self):
+        # For symmetric S = A each (1-w) A + (1-conj(w)) A is a positive multiple
+        # of A, so the total over p-th roots is (p - 1) sig(A).  Zero diagonals
+        # force the pivot repair; every other matrix A = Q^T A0 Q has a radical.
+        rng = random.Random(20261021)
+        for trial in range(300):
+            n = rng.randint(1, 5)
+            a = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    a[i][j] = a[j][i] = rng.choice((0, 0, 1, -1, 2, -3))
+            if trial % 2 and n > 1:
+                q = [[int(i == j) for j in range(n - 1)] + [rng.randint(-2, 2)] for i in range(n - 1)]
+                a = [
+                    [sum(q[k][i] * a[k][l] * q[l][j] for k in range(n - 1) for l in range(n - 1)) for j in range(n)]
+                    for i in range(n)
+                ]
+            sig = descartes_signature(a)
+            assert total_p_signature(SeifertMatrix(a), 2) == sig, a
+            assert total_p_signature(SeifertMatrix(a), 5) == 4 * sig, a
 
     @settings(max_examples=20, deadline=None)
     @given(matrix_strategy(2), st.integers(min_value=1, max_value=6), st.data())
