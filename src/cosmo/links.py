@@ -13,6 +13,16 @@ Components are closed arc cycles in traversal order; a one-arc cycle whose
 arc touches no crossing is a crossing-free circle.  Each component carries a
 base point (an arc) from which skein walks start.
 
+Validation
+----------
+A diagram is checked once, where it enters from outside.  The public
+``LinkDiagram`` constructor checks signs, arc labels and component cycles;
+``parse_pd``, ``pretzel_diagram`` and the unlink generators go through it,
+and ``parse_pd`` adds a planarity parity check.  Skein children
+(``switch_crossing``, ``smooth_crossing``), component sub-diagrams and
+braid closures (after their letters are checked) are built from data that
+is already consistent, so they are assembled without being checked again.
+
 Conway polynomial
 -----------------
 ``conway_polynomial`` resolves a diagram by walking the components in listed
@@ -25,7 +35,9 @@ two or more.  Results are memoized on a canonical serialization of the
 diagram: arcs renumbered 1..N in traversal order from the base points, then
 the crossings sorted.  Equal keys mean the same diagram up to arc names, and
 the memoized polynomial is a link invariant.  Shared memo tables only ever
-see atomic dict get/set, so concurrent readers are safe.
+see atomic dict get/set, so concurrent readers are safe.  One call may
+expand at most ``SKEIN_NODE_BUDGET`` skein nodes; past that it raises
+``DiagramError``, since the crossing count alone does not bound the work.
 
 Text format
 -----------
@@ -49,6 +61,7 @@ __all__ = [
     "ConwayPoly",
     "LinkSurgeryInvariants",
     "DEFAULT_CROSSING_LIMIT",
+    "SKEIN_NODE_BUDGET",
     "braid_closure",
     "pretzel_diagram",
     "torus2_diagram",
@@ -65,6 +78,10 @@ __all__ = [
 ]
 
 DEFAULT_CROSSING_LIMIT = 40
+# Skein nodes (switch/smooth branchings) one conway_polynomial call may expand.
+# The largest diagram the tests, scripts and benchmark evaluate, the (3, 3)
+# pretzel link, expands 964; a node costs roughly 4 KB of memo and 0.1 ms.
+SKEIN_NODE_BUDGET = 100_000
 
 
 class DiagramError(ValueError):
@@ -94,7 +111,12 @@ class Crossing(NamedTuple):
 
 
 class LinkDiagram:
-    """An oriented link diagram: crossings plus ordered arc cycles."""
+    """An oriented link diagram: crossings plus ordered arc cycles.
+
+    The constructor validates its input and raises ``DiagramError`` on
+    malformed data.  Diagrams derived from a validated one (skein children,
+    component sub-diagrams) are assembled directly and not checked again.
+    """
 
     __slots__ = ("crossings", "components", "base_points", "_head", "_arc_component", "_key")
 
@@ -113,9 +135,7 @@ class LinkDiagram:
             self._check_components(comps, succ)
         if not comps:
             raise DiagramError("a diagram needs at least one component")
-        if base_points is None:
-            bases = tuple(c[0] for c in comps)
-        else:
+        if base_points is not None:
             bases = tuple(base_points)
             if len(bases) != len(comps):
                 raise DiagramError("need exactly one base point per component")
@@ -126,13 +146,19 @@ class LinkDiagram:
                 i = cyc.index(base)
                 rotated.append(cyc[i:] + cyc[:i])
             comps = tuple(rotated)
-        self.components = comps
-        self.base_points = tuple(c[0] for c in comps)
+        self._assemble(self.crossings, comps, head)
+
+    def _assemble(self, crossings, components, head, arc_component=None) -> "LinkDiagram":
+        """Set every field from parts already known to form a diagram; no checks."""
+        self.crossings = crossings
+        self.components = components
+        self.base_points = tuple(c[0] for c in components)
         self._head = head
-        self._arc_component = {
-            arc: ci for ci, cyc in enumerate(comps) for arc in cyc
-        }
+        if arc_component is None:
+            arc_component = {arc: ci for ci, cyc in enumerate(components) for arc in cyc}
+        self._arc_component = arc_component
         self._key = None
+        return self
 
     # -- construction-time validation -------------------------------------
 
@@ -187,9 +213,12 @@ class LinkDiagram:
 
     def switch_crossing(self, i: int) -> "LinkDiagram":
         """Same diagram with crossing i switched (arc structure is unchanged)."""
-        xs = list(self.crossings)
-        xs[i] = xs[i].switched()
-        return LinkDiagram(xs, self.components)
+        x = self.crossings[i].switched()
+        head = dict(self._head)
+        head[x.a] = (i, "u")
+        head[x.over_in] = (i, "o")
+        xs = self.crossings[:i] + (x,) + self.crossings[i + 1 :]
+        return object.__new__(LinkDiagram)._assemble(xs, self.components, head, self._arc_component)
 
     def smooth_crossing(self, i: int) -> "LinkDiagram":
         """Oriented smoothing at crossing i: under-in joins over-out, over-in joins under-out."""
@@ -272,15 +301,22 @@ def _weld(
     for u, v in pairs:
         lo, hi = sorted((find(u), find(v)))
         root[lo] = root[hi] = lo
-    xs = [Crossing(find(x.a), find(x.b), find(x.c), find(x.d), x.sign) for x in crossings]
+    flat = {arc: find(arc) for arc in root}
+    xs = []
     succ: dict[int, int] = {}
-    for x in xs:
-        succ[x.a] = x.c
-        succ[x.over_in] = x.over_out
-    loose = {find(arc) for arc in [*root, *circles]} - succ.keys()
+    head: dict[int, tuple[int, str]] = {}
+    for ci, (a, b, c, d, sign) in enumerate(crossings):
+        a, b, c, d = flat.get(a, a), flat.get(b, b), flat.get(c, c), flat.get(d, d)
+        xs.append(Crossing(a, b, c, d, sign))
+        over_in, over_out = (d, b) if sign > 0 else (b, d)
+        succ[a] = c
+        succ[over_in] = over_out
+        head[a] = (ci, "u")
+        head[over_in] = (ci, "o")
+    loose = ({flat.get(arc, arc) for arc in circles} | set(flat.values())) - succ.keys()
     comps = list(_cycles_of(succ)) + [(arc,) for arc in loose]
     comps.sort(key=min)
-    return LinkDiagram(xs, comps)
+    return object.__new__(LinkDiagram)._assemble(tuple(xs), tuple(comps), head)
 
 
 def _cycles_of(succ: Mapping[int, int]) -> tuple[tuple[int, ...], ...]:
@@ -397,7 +433,13 @@ def _base_value(d: LinkDiagram) -> dict:
     return {0: 1} if len(d.components) == 1 else {}
 
 
+def _over_budget(budget: int) -> DiagramError:
+    return DiagramError(f"diagram too costly for skein oracle: more than {budget} skein nodes expanded")
+
+
 def _evaluate_memo(root: LinkDiagram, memo: dict) -> dict:
+    budget = SKEIN_NODE_BUDGET
+    nodes = 0
     stack: list[tuple[str, object]] = [("eval", root)]
     while stack:
         tag, payload = stack.pop()
@@ -410,6 +452,9 @@ def _evaluate_memo(root: LinkDiagram, memo: dict) -> dict:
             if bad is None:
                 memo[key] = _base_value(d)
                 continue
+            nodes += 1
+            if nodes > budget:
+                raise _over_budget(budget)
             sw = d.switch_crossing(bad)
             sm = d.smooth_crossing(bad)
             stack.append(("join", (key, sw.canonical_key(), sm.canonical_key(), d.crossings[bad].sign)))
@@ -423,6 +468,8 @@ def _evaluate_memo(root: LinkDiagram, memo: dict) -> dict:
 
 
 def _evaluate_plain(root: LinkDiagram) -> dict:
+    budget = SKEIN_NODE_BUDGET
+    nodes = 0
     total: dict = {}
     stack: list[tuple[LinkDiagram, dict]] = [(root, {0: 1})]
     while stack:
@@ -432,6 +479,9 @@ def _evaluate_plain(root: LinkDiagram) -> dict:
             if len(d.components) == 1:
                 total = _add(total, mult)
             continue
+        nodes += 1
+        if nodes > budget:
+            raise _over_budget(budget)
         stack.append((d.switch_crossing(bad), mult))
         stack.append((d.smooth_crossing(bad), _shift_scale(mult, d.crossings[bad].sign)))
     return total
@@ -449,6 +499,8 @@ def conway_polynomial(
     ``memo`` may be supplied to share work across calls; by default each call
     uses a fresh table.  ``use_memo=False`` re-derives every subdiagram, which
     exists so the memoized path can be checked against an independent one.
+    Either way, expanding more than ``SKEIN_NODE_BUDGET`` skein nodes raises
+    ``DiagramError``.
     """
     n = len(d.crossings)
     if n > crossing_limit:

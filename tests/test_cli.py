@@ -413,3 +413,18 @@ class TestCrossingLimitEnv:
         monkeypatch.setenv("COSMO_CROSSING_LIMIT", "many")
         code, _, err = run_cli(capsys, ["conway", "--braid", "1,1,1"])
         assert code == 2 and "COSMO_CROSSING_LIMIT" in err
+
+
+class TestSkeinBudget:
+    def test_budget_exceeded_is_one_line_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(cosmo.links, "SKEIN_NODE_BUDGET", 5)
+        code, out, err = run_cli(capsys, ["conway", "--braid", "1,1,1,1,1"])
+        assert code == 2 and out == ""
+        assert err == "error: diagram too costly for skein oracle: more than 5 skein nodes expanded\n"
+
+    def test_within_budget_prints_polynomial(self, capsys, monkeypatch):
+        # the (2, 5) torus knot's closure expands exactly 6 skein nodes
+        monkeypatch.setattr(cosmo.links, "SKEIN_NODE_BUDGET", 6)
+        code, out, _ = run_cli(capsys, ["conway", "--braid", "1,1,1,1,1", "--format", "json"])
+        assert code == 0
+        assert json.loads(out) == {"coefficients": {"0": 1, "2": 3, "4": 1}}

@@ -1,8 +1,11 @@
 """Diagram engine tests: skein oracle values, moves, generators, PD text."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cosmo import links
 from cosmo.links import (
     ConwayPoly,
     Crossing,
@@ -420,3 +423,81 @@ class TestCanonicalKey:
         pos = braid_closure([1, 1], 2)
         neg = braid_closure([-1, -1], 2)
         assert pos.canonical_key() != neg.canonical_key()
+
+
+class TestTrustedAssembly:
+    """Skein children skip validation; re-validating them must change nothing."""
+
+    @staticmethod
+    def assert_revalidates(d):
+        again = LinkDiagram(d.crossings, d.components)
+        assert again.crossings == d.crossings
+        assert again.components == d.components
+        assert again.base_points == d.base_points
+        assert again._head == d._head
+        assert again._arc_component == d._arc_component
+        assert again.canonical_key() == d.canonical_key()
+
+    def walk_skein_tree(self, root):
+        """Check every diagram the memoized recursion builds from root; return their number."""
+        self.assert_revalidates(root)
+        seen, stack, built = set(), [root], 1
+        while stack:
+            d = stack.pop()
+            key = d.canonical_key()
+            bad = d.first_bad_crossing()
+            if key in seen or bad is None:
+                continue
+            seen.add(key)
+            for child in (d.switch_crossing(bad), d.smooth_crossing(bad)):
+                self.assert_revalidates(child)
+                stack.append(child)
+                built += 1
+        return built
+
+    def walk_with_components(self, d):
+        built = self.walk_skein_tree(d)
+        for i in range(len(d.components)):
+            built += self.walk_skein_tree(d.component_subdiagram(i))
+        return built
+
+    def test_braid_closures(self):
+        rng = random.Random(8)
+        built = 0
+        for _ in range(300):
+            strands = rng.randint(2, 5)
+            word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(0, 10))]
+            built += self.walk_with_components(braid_closure(word, strands))
+        assert built > 3000
+
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    @pytest.mark.parametrize("b", [-2, -1, 1, 2])
+    def test_pretzels_read_back_from_text(self, a, b):
+        self.walk_with_components(parse_pd(format_pd(pretzel_diagram(a, b))))
+
+    def test_torus_knots(self):
+        for n in range(3, 16, 2):
+            self.walk_with_components(torus2_diagram(n))
+
+
+class TestSkeinBudget:
+    def test_budget_counts_expanded_nodes(self, monkeypatch):
+        d = torus2_diagram(15)
+        monkeypatch.setattr(links, "SKEIN_NODE_BUDGET", 56)
+        assert conway_polynomial(d) == torus2_conway_closed_form(15)
+        monkeypatch.setattr(links, "SKEIN_NODE_BUDGET", 55)
+        with pytest.raises(DiagramError, match="more than 55 skein nodes"):
+            conway_polynomial(d)
+
+    def test_budget_binds_the_plain_engine(self, monkeypatch):
+        d = braid_closure([1, -2, 1, -2, 1, -2], 3)
+        assert conway_polynomial(d, use_memo=False) == conway_polynomial(d)
+        monkeypatch.setattr(links, "SKEIN_NODE_BUDGET", 3)
+        with pytest.raises(DiagramError, match="skein nodes"):
+            conway_polynomial(d, use_memo=False)
+
+    def test_budget_is_per_call(self, monkeypatch):
+        monkeypatch.setattr(links, "SKEIN_NODE_BUDGET", 56)
+        for _ in range(3):
+            assert conway_polynomial(torus2_diagram(15)) == torus2_conway_closed_form(15)
+
