@@ -16,16 +16,12 @@ JSON document in which every exact rational appears as a "num/den" string
 (evidence values drop a denominator of 1) and integers are JSON numbers.
 Library errors exit with code 2 and a single ``error: ...`` line on stderr;
 selftest failures exit with code 1.
-
-The environment variable COSMO_CROSSING_LIMIT overrides the skein oracle's
-crossing cap for the diagram-reading commands.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from dataclasses import dataclass
@@ -39,7 +35,6 @@ from .casson_walker import (
     lambda_w_from_lambda,
 )
 from .links import (
-    DEFAULT_CROSSING_LIMIT,
     ConwayPoly,
     LinkSurgeryInvariants,
     braid_closure,
@@ -295,16 +290,6 @@ def _text_conway(p: ConwayPoly) -> str:
 # command handlers
 
 
-def _crossing_limit() -> int:
-    raw = os.environ.get("COSMO_CROSSING_LIMIT")
-    if raw is None:
-        return DEFAULT_CROSSING_LIMIT
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"COSMO_CROSSING_LIMIT must be an integer, got {raw!r}") from None
-
-
 def _run_dedekind(opt):
     p, q = opt["p"], opt["q"]
     value = dedekind_sum_fast(p, q)
@@ -446,7 +431,7 @@ def _run_selftest() -> int:
 # a (JSON payload, text line) pair of its own.
 _HANDLERS = {
     "dedekind": _run_dedekind,
-    "conway": lambda o: conway_polynomial(_load_diagram(o), crossing_limit=_crossing_limit()),
+    "conway": lambda o: conway_polynomial(_load_diagram(o)),
     "lambda": lambda o: casson_walker_link_surgery(_link_invariants(o), o["sx"], o["sy"]),
     "tau": _run_tau,
     "pretzel": lambda o: pretzel_analysis(o["a"], o["b"], o["slope"]),

@@ -10,8 +10,8 @@ under-direction) is positively oriented in the projection plane, which is the
 usual right-hand rule making the closure of a positive braid word positive.
 
 Components are closed arc cycles in traversal order; a one-arc cycle whose
-arc touches no crossing is a crossing-free circle.  Each component carries a
-base point (an arc) from which skein walks start.
+arc touches no crossing is a crossing-free circle.  The first arc of each
+component is its base point, where skein walks start.
 
 Validation
 ----------
@@ -35,9 +35,9 @@ two or more.  Results are memoized on a canonical serialization of the
 diagram: arcs renumbered 1..N in traversal order from the base points, then
 the crossings sorted.  Equal keys mean the same diagram up to arc names, and
 the memoized polynomial is a link invariant.  Shared memo tables only ever
-see atomic dict get/set, so concurrent readers are safe.  One call may
-expand at most ``SKEIN_NODE_BUDGET`` skein nodes; past that it raises
-``DiagramError``, since the crossing count alone does not bound the work.
+see atomic dict get/set, so concurrent readers are safe.  One call takes a
+diagram of at most ``SKEIN_CROSSING_LIMIT`` crossings and expands at most
+``SKEIN_NODE_BUDGET`` skein nodes; past either it raises ``DiagramError``.
 
 Text format
 -----------
@@ -60,7 +60,7 @@ __all__ = [
     "LinkDiagram",
     "ConwayPoly",
     "LinkSurgeryInvariants",
-    "DEFAULT_CROSSING_LIMIT",
+    "SKEIN_CROSSING_LIMIT",
     "SKEIN_NODE_BUDGET",
     "braid_closure",
     "pretzel_diagram",
@@ -77,10 +77,11 @@ __all__ = [
     "format_pd",
 ]
 
-DEFAULT_CROSSING_LIMIT = 40
-# Skein nodes (switch/smooth branchings) one conway_polynomial call may expand.
-# The largest diagram the tests, scripts and benchmark evaluate, the (3, 3)
-# pretzel link, expands 964; a node costs roughly 4 KB of memo and 0.1 ms.
+# Together these bound one conway_polynomial call: the crossing cap bounds the
+# time and memory of each skein node (switch/smooth branching), the budget the
+# number of nodes.  The costliest diagram the tests, scripts and benchmark
+# evaluate, the (3, 3) pretzel link, has 19 crossings and expands 964 nodes.
+SKEIN_CROSSING_LIMIT = 40
 SKEIN_NODE_BUDGET = 100_000
 
 
@@ -118,14 +119,9 @@ class LinkDiagram:
     component sub-diagrams) are assembled directly and not checked again.
     """
 
-    __slots__ = ("crossings", "components", "base_points", "_head", "_arc_component", "_key")
+    __slots__ = ("crossings", "components", "_head", "_arc_component", "_key")
 
-    def __init__(
-        self,
-        crossings: Iterable[tuple],
-        components: Sequence[Sequence[int]] | None = None,
-        base_points: Sequence[int] | None = None,
-    ) -> None:
+    def __init__(self, crossings: Iterable[tuple], components: Sequence[Sequence[int]] | None = None) -> None:
         self.crossings = tuple(Crossing(*x) for x in crossings)
         succ, head = self._index_crossings()
         if components is None:
@@ -135,24 +131,12 @@ class LinkDiagram:
             self._check_components(comps, succ)
         if not comps:
             raise DiagramError("a diagram needs at least one component")
-        if base_points is not None:
-            bases = tuple(base_points)
-            if len(bases) != len(comps):
-                raise DiagramError("need exactly one base point per component")
-            rotated = []
-            for cyc, base in zip(comps, bases):
-                if base not in cyc:
-                    raise DiagramError(f"base point {base} is not an arc of its component")
-                i = cyc.index(base)
-                rotated.append(cyc[i:] + cyc[:i])
-            comps = tuple(rotated)
         self._assemble(self.crossings, comps, head)
 
     def _assemble(self, crossings, components, head, arc_component=None) -> "LinkDiagram":
         """Set every field from parts already known to form a diagram; no checks."""
         self.crossings = crossings
         self.components = components
-        self.base_points = tuple(c[0] for c in components)
         self._head = head
         if arc_component is None:
             arc_component = {arc: ci for ci, cyc in enumerate(components) for arc in cyc}
@@ -487,24 +471,19 @@ def _evaluate_plain(root: LinkDiagram) -> dict:
     return total
 
 
-def conway_polynomial(
-    d: LinkDiagram,
-    *,
-    crossing_limit: int = DEFAULT_CROSSING_LIMIT,
-    use_memo: bool = True,
-    memo: dict | None = None,
-) -> ConwayPoly:
+def conway_polynomial(d: LinkDiagram, *, use_memo: bool = True, memo: dict | None = None) -> ConwayPoly:
     """Conway polynomial of the diagram by descending-diagram skein recursion.
 
     ``memo`` may be supplied to share work across calls; by default each call
     uses a fresh table.  ``use_memo=False`` re-derives every subdiagram, which
     exists so the memoized path can be checked against an independent one.
-    Either way, expanding more than ``SKEIN_NODE_BUDGET`` skein nodes raises
+    Either way, a diagram of more than ``SKEIN_CROSSING_LIMIT`` crossings, or
+    one that expands more than ``SKEIN_NODE_BUDGET`` skein nodes, raises
     ``DiagramError``.
     """
     n = len(d.crossings)
-    if n > crossing_limit:
-        raise DiagramError(f"diagram too large for skein oracle: {n} crossings > limit {crossing_limit}")
+    if n > SKEIN_CROSSING_LIMIT:
+        raise DiagramError(f"diagram too large for skein oracle: {n} crossings > limit {SKEIN_CROSSING_LIMIT}")
     if use_memo:
         raw = _evaluate_memo(d, {} if memo is None else memo)
     else:
@@ -554,14 +533,14 @@ def v3(inv: LinkSurgeryInvariants) -> Fraction:
     return Fraction(-inv.a3 + (inv.a2_x + inv.a2_y) * lk, 2) + Fraction(lk**3 - lk, 24)
 
 
-def invariants_from_diagram(d: LinkDiagram, *, crossing_limit: int = DEFAULT_CROSSING_LIMIT) -> LinkSurgeryInvariants:
+def invariants_from_diagram(d: LinkDiagram) -> LinkSurgeryInvariants:
     """Extract (a2_x, a2_y, a3, lk) from a two-component diagram."""
     if len(d.components) != 2:
         raise DiagramError(f"need a 2-component diagram, got {len(d.components)} components")
     memo: dict = {}
-    whole = conway_polynomial(d, crossing_limit=crossing_limit, memo=memo)
-    kx = conway_polynomial(d.component_subdiagram(0), crossing_limit=crossing_limit, memo=memo)
-    ky = conway_polynomial(d.component_subdiagram(1), crossing_limit=crossing_limit, memo=memo)
+    whole = conway_polynomial(d, memo=memo)
+    kx = conway_polynomial(d.component_subdiagram(0), memo=memo)
+    ky = conway_polynomial(d.component_subdiagram(1), memo=memo)
     return LinkSurgeryInvariants(
         a2_x=kx.coefficient(2),
         a2_y=ky.coefficient(2),
@@ -575,7 +554,6 @@ def invariants_from_diagram(d: LinkDiagram, *, crossing_limit: int = DEFAULT_CRO
 
 _CCW = ("tr", "tl", "bl", "br")  # counterclockwise port order around a crossing
 _DIAG = {"bl": "tr", "tr": "bl", "br": "tl", "tl": "br"}
-_COORD = {"bl": (-1, -1), "br": (1, -1), "tl": (-1, 1), "tr": (1, 1)}
 
 
 def _emit_record(arcs_by_port, passes, over_diag):
@@ -586,15 +564,10 @@ def _emit_record(arcs_by_port, passes, over_diag):
             over_in = in_port
         else:
             under_in = in_port
-
-    def direction(port):
-        (x0, y0), (x1, y1) = _COORD[port], _COORD[_DIAG[port]]
-        return (x1 - x0, y1 - y0)
-
-    (ox, oy), (ux, uy) = direction(over_in), direction(under_in)
-    sign = 1 if ox * uy - oy * ux > 0 else -1
     k = _CCW.index(under_in)
     ports = [_CCW[(k + j) % 4] for j in range(4)]
+    # positive exactly when the over-strand enters at slot d, just before under-in
+    sign = 1 if over_in == ports[3] else -1
     a, b, c, d = (arcs_by_port[p] for p in ports)
     return Crossing(a, b, c, d, sign)
 
@@ -643,6 +616,13 @@ def torus2_diagram(n: int) -> LinkDiagram:
     return braid_closure([1] * n, 2)
 
 
+def _check_pretzel(a: int, b: int) -> None:
+    if a < 1:
+        raise ValueError(f"pretzel parameter a must be >= 1, got {a}")
+    if b == 0:
+        raise ValueError("pretzel parameter b must be nonzero")
+
+
 def pretzel_diagram(a: int, b: int) -> LinkDiagram:
     """The two-component pretzel link with twist regions (2a+1, 2b, 2b).
 
@@ -652,10 +632,7 @@ def pretzel_diagram(a: int, b: int) -> LinkDiagram:
     right-handed twists; the orientation conventions here are anchored by
     ``pretzel_a3_closed_form``.
     """
-    if a < 1:
-        raise ValueError(f"pretzel parameter a must be >= 1, got {a}")
-    if b == 0:
-        raise ValueError("pretzel parameter b must be nonzero")
+    _check_pretzel(a, b)
     m1, m2 = 2 * a + 1, 2 * abs(b)
     regions = [(0, m1), (m1, m2), (m1 + m2, m2)]
     adj: dict[tuple[int, str], tuple[int, str]] = {}
@@ -712,10 +689,7 @@ def pretzel_diagram(a: int, b: int) -> LinkDiagram:
 
 def pretzel_a3_closed_form(a: int, b: int) -> int:
     """a3 of the (2a+1, 2b, 2b) pretzel link: -b (2b^2 + 6ab + 3b + 1) / 6."""
-    if a < 1:
-        raise ValueError(f"pretzel parameter a must be >= 1, got {a}")
-    if b == 0:
-        raise ValueError("pretzel parameter b must be nonzero")
+    _check_pretzel(a, b)
     # the numerator is -(b (b+1) (2b+1) + 6 a b^2), a multiple of 6 for every b
     return -b * (2 * b * b + 6 * a * b + 3 * b + 1) // 6
 

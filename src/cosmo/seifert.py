@@ -265,7 +265,11 @@ def levine_tristram_signature(s: SeifertMatrix, omega: complex) -> int:
 
     Degenerate directions (eigenvalues at zero within tolerance) contribute
     nothing, so the value at a jump point is the signature of the degenerate
-    form itself.
+    form itself.  The tolerance is relative to the matrix norm, so a matrix
+    with wide entries can lose a small nonzero eigenvalue:
+    [[-10831, -7463], [-7464, -5143]], congruent to ``seifert_torus2(3)``,
+    gives -1 at e^(+-2 pi i/5) where the trefoil gives -2.  For sums over
+    the p-th roots of unity, ``total_p_signature`` is exact.
     """
     omega = complex(omega)
     if not abs(abs(omega) - 1.0) <= 1e-12:

@@ -142,12 +142,13 @@ class TestSkeinProperties:
     @settings(max_examples=30, deadline=None)
     @given(braid_words, st.data())
     def test_base_point_choice_is_immaterial(self, word, data):
+        # the first arc of each cycle is its base point
         d = closed(word)
-        bases = tuple(
-            data.draw(st.sampled_from(cyc), label=f"base{ci}")
-            for ci, cyc in enumerate(d.components)
-        )
-        moved = LinkDiagram(d.crossings, d.components, bases)
+        rotated = []
+        for ci, cyc in enumerate(d.components):
+            k = data.draw(st.integers(min_value=0, max_value=len(cyc) - 1), label=f"base{ci}")
+            rotated.append(cyc[k:] + cyc[:k])
+        moved = LinkDiagram(d.crossings, rotated)
         assert conway_polynomial(moved) == conway_polynomial(d)
 
     @settings(max_examples=30, deadline=None)
@@ -262,12 +263,11 @@ class TestPretzelFamily:
         assert inv == LinkSurgeryInvariants(a2_x=0, a2_y=1, a3=-2, lk=0)
 
     def test_bad_parameters(self):
-        with pytest.raises(ValueError):
-            pretzel_diagram(0, 1)
-        with pytest.raises(ValueError):
-            pretzel_diagram(1, 0)
-        with pytest.raises(ValueError):
-            pretzel_a3_closed_form(1, 0)
+        for f in (pretzel_diagram, pretzel_a3_closed_form):
+            with pytest.raises(ValueError, match="^pretzel parameter a must be >= 1, got 0$"):
+                f(0, 1)
+            with pytest.raises(ValueError, match="^pretzel parameter b must be nonzero$"):
+                f(1, 0)
 
 
 class TestV3:
@@ -304,15 +304,6 @@ class TestDiagramValidation:
     def test_bad_sign(self):
         with pytest.raises(DiagramError):
             LinkDiagram([(1, 2, 3, 4, 0)], ((1, 3), (2, 4)))
-
-    def test_base_point_must_lie_on_component(self):
-        hopf = braid_closure([1, 1], 2)
-        with pytest.raises(DiagramError):
-            LinkDiagram(hopf.crossings, hopf.components, (1, 99))
-
-    def test_crossing_limit(self):
-        with pytest.raises(DiagramError):
-            conway_polynomial(torus2_diagram(9), crossing_limit=8)
 
     def test_linking_number_needs_distinct_components(self):
         hopf = braid_closure([1, 1], 2)
@@ -433,7 +424,6 @@ class TestTrustedAssembly:
         again = LinkDiagram(d.crossings, d.components)
         assert again.crossings == d.crossings
         assert again.components == d.components
-        assert again.base_points == d.base_points
         assert again._head == d._head
         assert again._arc_component == d._arc_component
         assert again.canonical_key() == d.canonical_key()
@@ -481,6 +471,13 @@ class TestTrustedAssembly:
 
 
 class TestSkeinBudget:
+    def test_crossing_cap_is_fixed_at_40(self):
+        assert links.SKEIN_CROSSING_LIMIT == 40
+        assert conway_polynomial(torus2_diagram(39)) == torus2_conway_closed_form(39)
+        with pytest.raises(DiagramError) as exc:
+            conway_polynomial(torus2_diagram(41))
+        assert str(exc.value) == "diagram too large for skein oracle: 41 crossings > limit 40"
+
     def test_budget_counts_expanded_nodes(self, monkeypatch):
         d = torus2_diagram(15)
         monkeypatch.setattr(links, "SKEIN_NODE_BUDGET", 56)
