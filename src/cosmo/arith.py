@@ -24,8 +24,8 @@ All functions are pure; the module is safe to use from multiple threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 Q = Fraction
 
@@ -39,8 +39,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Slope:
+class _SlopeFields(NamedTuple):
+    p: int
+    q: int = 1
+
+
+class Slope(_SlopeFields):
     """A finite surgery slope p/q in lowest terms with q > 0.
 
     The infinite slope 1/0 is rejected at construction: every slope handled
@@ -48,19 +52,20 @@ class Slope:
     all require a finite coefficient.  The sign lives entirely in p.
     """
 
-    p: int
-    q: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        p, q = self.p, self.q
+    def __new__(cls, p: int, q: int = 1) -> "Slope":
         if q == 0:
             raise ValueError("slope p/0 rejected: infinite slope is not a valid surgery coefficient here")
         g = math.gcd(p, q)
         p, q = p // g, q // g
         if q < 0:
             p, q = -p, -q
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        return super().__new__(cls, p, q)
+
+    @classmethod
+    def _make(cls, iterable) -> "Slope":
+        return cls(*iterable)  # so _replace validates too
 
     @classmethod
     def parse(cls, text: str) -> "Slope":

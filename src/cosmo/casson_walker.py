@@ -19,11 +19,11 @@ the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import Q, Slope, dedekind_sum_fast, dedekind_symbol
-from .links import LinkSurgeryInvariants, v3
+from .links import LinkSurgeryInvariants
 
 __all__ = [
     "LinkingMatrix2",
@@ -36,19 +36,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LinkingMatrix2:
-    """Symmetric 2x2 framing matrix with rational diagonal, integer corner."""
-
+class _LinkingMatrix2Fields(NamedTuple):
     xx: Fraction
     yy: Fraction
     xy: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "xx", Q(self.xx))
-        object.__setattr__(self, "yy", Q(self.yy))
-        if not isinstance(self.xy, int):
-            raise ValueError(f"off-diagonal entry must be an integer, got {self.xy!r}")
+
+class LinkingMatrix2(_LinkingMatrix2Fields):
+    """Symmetric 2x2 framing matrix with rational diagonal, integer corner."""
+
+    __slots__ = ()
+
+    def __new__(cls, xx: Fraction, yy: Fraction, xy: int) -> "LinkingMatrix2":
+        xx, yy = Q(xx), Q(yy)
+        if not isinstance(xy, int):
+            raise ValueError(f"off-diagonal entry must be an integer, got {xy!r}")
+        return super().__new__(cls, xx, yy, xy)
+
+    @classmethod
+    def _make(cls, iterable) -> "LinkingMatrix2":
+        return cls(*iterable)  # so _replace validates too
 
     @property
     def det(self) -> Fraction:
@@ -59,22 +66,30 @@ class LinkingMatrix2:
         return self.xx + self.yy
 
 
-@dataclass(frozen=True)
-class SurgeryResult:
-    """Exact surgery output: both normalizations, determinant, signature."""
-
+class _SurgeryResultFields(NamedTuple):
     lambda_w: Fraction
     D: Fraction
     sigma: int
     lambda_: Fraction
 
-    def __post_init__(self) -> None:
-        if self.D == 0:
+
+class SurgeryResult(_SurgeryResultFields):
+    """Exact surgery output: both normalizations, determinant, signature."""
+
+    __slots__ = ()
+
+    def __new__(cls, lambda_w: Fraction, D: Fraction, sigma: int, lambda_: Fraction) -> "SurgeryResult":
+        if D == 0:
             raise ValueError("surgery result requires a nonzero determinant")
-        if self.lambda_w != 2 * self.lambda_:
+        if lambda_w != 2 * lambda_:
             raise ValueError("normalizations disagree: lambda_w must be twice lambda_")
-        if self.sigma not in (-2, 0, 2):
-            raise ValueError(f"signature of a nondegenerate 2x2 form must be -2, 0 or 2, got {self.sigma}")
+        if sigma not in (-2, 0, 2):
+            raise ValueError(f"signature of a nondegenerate 2x2 form must be -2, 0 or 2, got {sigma}")
+        return super().__new__(cls, lambda_w, D, sigma, lambda_)
+
+    @classmethod
+    def _make(cls, iterable) -> "SurgeryResult":
+        return cls(*iterable)  # so _replace validates too
 
 
 def linking_matrix(lk: int, sx: Slope, sy: Slope) -> LinkingMatrix2:
@@ -110,10 +125,10 @@ def casson_walker_link_surgery(
     if not all(isinstance(x, int) for x in inv):
         raise ValueError(f"link invariants must be integers, got {inv!r}")
     px, qx, py, qy, lk = sx.p, sx.q, sy.p, sy.q, inv.lk
-    dn = px * py - lk * lk * qx * qy
-    sigma = _signature(dn, px * qy + py * qx)  # det and trace times qx qy > 0
     qx2, qy2, lk2 = qx * qx, qy * qy, lk * lk
-    v3_24 = (24 * v3(inv)).numerator  # 24 v3 = 12 (-a3 + (a2_x + a2_y) lk) + lk^3 - lk
+    dn = px * py - lk2 * qx * qy
+    sigma = _signature(dn, px * qy + py * qx)  # det and trace times qx qy > 0
+    v3_24 = 12 * (-inv.a3 + (inv.a2_x + inv.a2_y) * lk) + lk * lk2 - lk  # 24 v3, as in links.v3
     s_x, s_y = dedekind_symbol(sx), dedekind_symbol(sy)
     qs_x, qs_y = qx * s_x.numerator // s_x.denominator, qy * s_y.numerator // s_y.denominator
     n = (

@@ -24,8 +24,8 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import Slope, dedekind_sum_fast, dedekind_sum_naive
 from .casson_walker import (
@@ -67,8 +67,7 @@ from .seifert import (
 __all__ = ["Command", "parse_args", "run", "emit_json", "main"]
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     name: str
     options: dict
 
@@ -445,7 +444,9 @@ def run(cmd: Command) -> int:
         return _run_selftest()
     handler = _MODES[cmd.name][opt["mode"]][1] if cmd.name in _MODES else _HANDLERS[cmd.name]
     result = handler(opt)
-    payload, text = result if isinstance(result, tuple) else (result, _TEXT[type(result)](result))
+    # results are records, and records are tuples too: dispatch on the type
+    render = _TEXT.get(type(result))
+    payload, text = (result, render(result)) if render else result
     print(emit_json(payload) if opt["format"] == "json" else text)
     return 0
 

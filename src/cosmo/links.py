@@ -371,6 +371,9 @@ class ConwayPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a constant polynomial equals its int, so it hashes like it
+        if self.degree <= 0:
+            return hash(self.coefficient(0))
         return hash(frozenset(self._coeffs.items()))
 
     def __str__(self) -> str:

@@ -15,8 +15,8 @@ ruled out".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import Q, Slope
 from .links import LinkSurgeryInvariants, pretzel_a3_closed_form
@@ -36,28 +36,42 @@ OBSTRUCTED = "obstructed"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
-    """Outcome of one obstruction test, with the exact numbers behind it."""
-
+class _ObstructionReportFields(NamedTuple):
     verdict: str
     candidates: tuple[int, ...] | None
     evidence: tuple[tuple[str, Fraction | int], ...]
     narrative: str
 
-    def __post_init__(self) -> None:
-        if self.verdict not in (OBSTRUCTED, INCONCLUSIVE):
-            raise ValueError(f"unknown verdict {self.verdict!r}")
-        if self.candidates is not None:
-            if list(self.candidates) != sorted(set(self.candidates)):
+
+class ObstructionReport(_ObstructionReportFields):
+    """Outcome of one obstruction test, with the exact numbers behind it."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        verdict: str,
+        candidates: tuple[int, ...] | None,
+        evidence: tuple[tuple[str, Fraction | int], ...],
+        narrative: str,
+    ) -> "ObstructionReport":
+        if verdict not in (OBSTRUCTED, INCONCLUSIVE):
+            raise ValueError(f"unknown verdict {verdict!r}")
+        if candidates is not None:
+            if list(candidates) != sorted(set(candidates)):
                 raise ValueError("candidates must be strictly increasing")
-            if any(c < 1 for c in self.candidates):
+            if any(c < 1 for c in candidates):
                 raise ValueError("candidates must be positive integers")
-            if (self.verdict == OBSTRUCTED) != (len(self.candidates) == 0):
+            if (verdict == OBSTRUCTED) != (len(candidates) == 0):
                 raise ValueError("verdict and candidate set disagree")
-        for name, value in self.evidence:
+        for name, value in evidence:
             if not isinstance(value, (int, Fraction)):
                 raise ValueError(f"evidence {name!r} must be exact, got {type(value).__name__}")
+        return super().__new__(cls, verdict, candidates, evidence, narrative)
+
+    @classmethod
+    def _make(cls, iterable) -> "ObstructionReport":
+        return cls(*iterable)  # so _replace validates too
 
 
 def _exact_sqrt(f: Fraction) -> Fraction | None:

@@ -2,6 +2,9 @@
 
 import ast
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -378,6 +381,15 @@ class TestExitCodes:
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
             offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if flagged(node)]
         assert offenders == []
+
+    def test_cli_import_loads_no_dataclasses_or_inspect(self):
+        # every cosmo process pays for what importing the CLI loads; -S keeps
+        # site-packages .pth files from adding modules of their own
+        src = Path(cosmo.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = "import sys, cosmo.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_selftest_passes(self, capsys):
         code, out, _ = run_cli(capsys, ["selftest"])

@@ -351,6 +351,15 @@ class TestPolynomialType:
         assert ConwayPoly() == 0
         assert ConwayPoly({1: 1}) != 1
 
+    def test_hash_agrees_with_equality(self):
+        # equal objects hash equal, so a set or dict key cannot hold both
+        assert hash(ConwayPoly.one()) == hash(1)
+        assert hash(ConwayPoly()) == hash(0)
+        assert hash(ConwayPoly({0: -7})) == hash(-7)
+        assert len({ConwayPoly.one(), 1}) == 1
+        assert {ConwayPoly(): "zero"}[0] == "zero"
+        assert hash(ConwayPoly({0: 1, 2: 1})) == hash(ConwayPoly({2: 1, 0: 1}))
+
     def test_str_forms(self):
         assert str(ConwayPoly()) == "0"
         assert str(ConwayPoly({0: 1, 2: 1})) == "1 + z^2"
