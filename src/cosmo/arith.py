@@ -18,6 +18,10 @@ which is well defined on the fraction p/q and satisfies the reciprocity law
 
     S(p/q) + S(q/p) = p/q + q/p + 1/(pq) - 3 sign(pq).
 
+The link data the surgery formula consumes, ``LinkSurgeryInvariants`` and
+its finite-type combination ``v3``, live here too, so that the formula and
+the obstruction tests need no diagram code.
+
 All functions are pure; the module is safe to use from multiple threads.
 """
 
@@ -36,6 +40,8 @@ __all__ = [
     "dedekind_sum_naive",
     "dedekind_sum_fast",
     "dedekind_symbol",
+    "LinkSurgeryInvariants",
+    "v3",
 ]
 
 
@@ -144,3 +150,21 @@ def dedekind_symbol(s: Slope) -> Fraction:
     """Normalized symbol S(p/q) = 12 sign(q) s(p, q) of a finite slope."""
     # Slope rejects q = 0 and keeps q > 0, so sign(q) = 1 after canonicalization.
     return 12 * dedekind_sum_fast(s.p, s.q)
+
+
+class LinkSurgeryInvariants(NamedTuple):
+    """The diagram data the surgery formula consumes."""
+
+    a2_x: int
+    a2_y: int
+    a3: int
+    lk: int
+
+
+def v3(inv: LinkSurgeryInvariants) -> Fraction:
+    """The degree-3 finite-type invariant feeding the surgery formula.
+
+    v3 = ( -a3 + (a2_x + a2_y) lk + (lk^3 - lk)/12 ) / 2, exactly.
+    """
+    lk = inv.lk
+    return Fraction(-inv.a3 + (inv.a2_x + inv.a2_y) * lk, 2) + Fraction(lk**3 - lk, 24)

@@ -22,8 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import Q, Slope, dedekind_sum_fast, dedekind_symbol
-from .links import LinkSurgeryInvariants
+from .arith import LinkSurgeryInvariants, Q, Slope, dedekind_sum_fast, dedekind_symbol
 
 __all__ = [
     "LinkingMatrix2",
@@ -128,7 +127,7 @@ def casson_walker_link_surgery(
     qx2, qy2, lk2 = qx * qx, qy * qy, lk * lk
     dn = px * py - lk2 * qx * qy
     sigma = _signature(dn, px * qy + py * qx)  # det and trace times qx qy > 0
-    v3_24 = 12 * (-inv.a3 + (inv.a2_x + inv.a2_y) * lk) + lk * lk2 - lk  # 24 v3, as in links.v3
+    v3_24 = 12 * (-inv.a3 + (inv.a2_x + inv.a2_y) * lk) + lk * lk2 - lk  # 24 v3, as in arith.v3
     s_x, s_y = dedekind_symbol(sx), dedekind_symbol(sy)
     qs_x, qs_y = qx * s_x.numerator // s_x.denominator, qy * s_y.numerator // s_y.denominator
     n = (

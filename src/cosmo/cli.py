@@ -27,42 +27,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import Slope, dedekind_sum_fast, dedekind_sum_naive
-from .casson_walker import (
-    SurgeryResult,
-    casson_boyer_lines,
-    casson_walker_link_surgery,
-    lambda_w_from_lambda,
-)
-from .links import (
-    ConwayPoly,
-    LinkSurgeryInvariants,
-    braid_closure,
-    conway_polynomial,
-    invariants_from_diagram,
-    linking_number,
-    parse_pd,
-    pretzel_a3_closed_form,
-    pretzel_diagram,
-    torus2_diagram,
-)
-from .obstructions import (
-    ObstructionReport,
-    chirally_cosmetic_obstruction,
-    chirally_cosmetic_obstruction_ihs,
-    pretzel_analysis,
-    purely_cosmetic_candidates_ihs,
-    purely_cosmetic_obstruction_bl,
-    purely_cosmetic_obstruction_thm4,
-    purely_cosmetic_quadratic,
-)
-from .seifert import (
-    SeifertMatrix,
-    casson_gordon_tau,
-    conway_from_seifert,
-    parse_seifert_matrix,
-    seifert_torus2,
-)
+from .arith import LinkSurgeryInvariants, Slope, dedekind_sum_fast, dedekind_sum_naive
 
 __all__ = ["Command", "parse_args", "run", "emit_json", "main"]
 
@@ -177,17 +142,17 @@ def _link_invariants(opt) -> LinkSurgeryInvariants:
 
 
 # Obstruction modes: command -> mode -> (the options that select it, its
-# library call).  The calls look library functions up when they run, so a
-# rebound module name reaches them.
+# call on the obstructions module).  run imports that module when a mode
+# runs and passes it in, so the call looks its function up then.
 _MODES = {
     "obstruct-purely": {
-        "bl": (("delta2",), lambda o: purely_cosmetic_obstruction_bl(o["delta2"])),
-        "thm4": (("a2", "q0", "a3"), lambda o: purely_cosmetic_obstruction_thm4(o["a2"], o["q0"], o["a3"])),
-        "quad": (("a2x", "a2y", "a3", "s0"), lambda o: purely_cosmetic_quadratic(_link_invariants(o), o["s0"])),
+        "bl": (("delta2",), lambda ob, o: ob.purely_cosmetic_obstruction_bl(o["delta2"])),
+        "thm4": (("a2", "q0", "a3"), lambda ob, o: ob.purely_cosmetic_obstruction_thm4(o["a2"], o["q0"], o["a3"])),
+        "quad": (("a2x", "a2y", "a3", "s0"), lambda ob, o: ob.purely_cosmetic_quadratic(_link_invariants(o), o["s0"])),
     },
     "obstruct-chirally": {
-        "ihs": (("lambda_w",), lambda o: chirally_cosmetic_obstruction_ihs(o["lambda_w"])),
-        "family": (("a2", "p0"), lambda o: chirally_cosmetic_obstruction(o["a2"], o["p0"])),
+        "ihs": (("lambda_w",), lambda ob, o: ob.chirally_cosmetic_obstruction_ihs(o["lambda_w"])),
+        "family": (("a2", "p0"), lambda ob, o: ob.chirally_cosmetic_obstruction(o["a2"], o["p0"])),
     },
 }
 
@@ -224,22 +189,35 @@ def _frac_short(v) -> str:
     return str(Fraction(v))
 
 
+def _result_type(obj) -> str:
+    """The dotted name of the library result type obj is an instance of.
+
+    The types are named, not imported, so that rendering loads no compute
+    module: an instance exists only once its module is loaded.
+    """
+    for cls in type(obj).__mro__:
+        if cls.__module__.startswith("cosmo."):
+            return f"{cls.__module__}.{cls.__qualname__}"
+    return ""
+
+
 def _json_payload(obj):
-    if isinstance(obj, SurgeryResult):
+    kind = _result_type(obj)
+    if kind == "cosmo.casson_walker.SurgeryResult":
         return {
             "lambda_w": _frac_full(obj.lambda_w),
             "D": _frac_full(obj.D),
             "sigma": obj.sigma,
             "lambda": _frac_full(obj.lambda_),
         }
-    if isinstance(obj, ObstructionReport):
+    if kind == "cosmo.obstructions.ObstructionReport":
         return {
             "verdict": obj.verdict,
             "candidates": None if obj.candidates is None else list(obj.candidates),
             "evidence": {name: _frac_short(value) for name, value in obj.evidence},
             "narrative": obj.narrative,
         }
-    if isinstance(obj, ConwayPoly):
+    if kind == "cosmo.links.ConwayPoly":
         coeffs = obj.coefficients
         return {"coefficients": {str(e): coeffs[e] for e in sorted(coeffs)}}
     if isinstance(obj, dict):
@@ -251,7 +229,7 @@ def emit_json(obj) -> str:
     return json.dumps(_json_payload(obj), indent=2)
 
 
-def _text_surgery(r: SurgeryResult) -> str:
+def _text_surgery(r) -> str:
     return "\n".join(
         [
             f"lambda_w = {_frac_short(r.lambda_w)}",
@@ -262,7 +240,7 @@ def _text_surgery(r: SurgeryResult) -> str:
     )
 
 
-def _text_report(r: ObstructionReport) -> str:
+def _text_report(r) -> str:
     if r.candidates is None:
         cand = "not applicable"
     elif not r.candidates:
@@ -278,7 +256,7 @@ def _text_report(r: ObstructionReport) -> str:
     return "\n".join(lines)
 
 
-def _text_conway(p: ConwayPoly) -> str:
+def _text_conway(p) -> str:
     lines = [f"nabla = {p}"]
     coeffs = p.coefficients
     lines += [f"a{e} = {coeffs[e]}" for e in sorted(coeffs)]
@@ -289,6 +267,11 @@ def _text_conway(p: ConwayPoly) -> str:
 # command handlers
 
 
+# Each handler imports the compute module it calls when it runs, so a call
+# loads only what it uses, and looks the function up on that module then, so
+# a rebound module attribute reaches the call.
+
+
 def _run_dedekind(opt):
     p, q = opt["p"], opt["q"]
     value = dedekind_sum_fast(p, q)
@@ -297,34 +280,54 @@ def _run_dedekind(opt):
     return payload, f"s({p},{q}) = {_frac_short(value)}"
 
 
-def _load_diagram(opt):
+def _run_conway(opt):
+    from . import links
+
     if opt.get("pd"):
         with open(opt["pd"], encoding="utf-8") as fh:
-            return parse_pd(fh.read())
-    return braid_closure(opt["braid"], opt["strands"])
+            diagram = links.parse_pd(fh.read())
+    else:
+        diagram = links.braid_closure(opt["braid"], opt["strands"])
+    return links.conway_polynomial(diagram)
 
 
-def _load_matrix(opt) -> SeifertMatrix:
+def _run_lambda(opt):
+    from . import casson_walker
+
+    return casson_walker.casson_walker_link_surgery(_link_invariants(opt), opt["sx"], opt["sy"])
+
+
+def _load_matrix(seifert, opt):
     if opt.get("matrix"):
         with open(opt["matrix"], encoding="utf-8") as fh:
-            m = parse_seifert_matrix(fh.read())
+            m = seifert.parse_seifert_matrix(fh.read())
         # tau is defined for knots; the constant Conway coefficient is det(S - S^T)
-        det = conway_from_seifert(m).coefficient(0)
+        det = seifert.conway_from_seifert(m).coefficient(0)
         if det != 1:
             raise ValueError(f"not a knot Seifert matrix: det(S - S^T) = {det}, expected 1")
         return m
     if opt.get("torus2") is not None:
-        return seifert_torus2(opt["torus2"])
-    return SeifertMatrix([])
+        return seifert.seifert_torus2(opt["torus2"])
+    return seifert.SeifertMatrix([])
 
 
 def _run_tau(opt):
+    from . import seifert
+
     slope = opt["slope"]
-    value = casson_gordon_tau(_load_matrix(opt), slope)
+    value = seifert.casson_gordon_tau(_load_matrix(seifert, opt), slope)
     return {"p": slope.p, "q": slope.q, "tau": _frac_full(value)}, f"tau = {_frac_short(value)}"
 
 
+def _run_pretzel(opt):
+    from . import obstructions
+
+    return obstructions.pretzel_analysis(opt["a"], opt["b"], opt["slope"])
+
+
 def _selftest_checks():
+    from . import casson_walker as cw, links, obstructions as ob, seifert
+
     yield (
         "dedekind closed form, p up to 200",
         lambda: all(
@@ -349,27 +352,27 @@ def _selftest_checks():
     )
     yield (
         "trefoil Conway polynomial, both routes",
-        lambda: conway_polynomial(torus2_diagram(3))
-        == conway_from_seifert(seifert_torus2(3))
-        == ConwayPoly({0: 1, 2: 1}),
+        lambda: links.conway_polynomial(links.torus2_diagram(3))
+        == seifert.conway_from_seifert(seifert.seifert_torus2(3))
+        == links.ConwayPoly({0: 1, 2: 1}),
     )
     yield (
         "pretzel diagram matches its closed form",
         lambda: (
-            invariants_from_diagram(pretzel_diagram(1, 1)).a3
-            == pretzel_a3_closed_form(1, 1)
+            links.invariants_from_diagram(links.pretzel_diagram(1, 1)).a3
+            == ob.pretzel_a3_closed_form(1, 1)
             == -2
-            and linking_number(pretzel_diagram(1, 1), 0, 1) == 0
+            and links.linking_number(links.pretzel_diagram(1, 1), 0, 1) == 0
         ),
     )
     yield (
         "lens space surgery values",
         lambda: (
-            casson_walker_link_surgery(
+            cw.casson_walker_link_surgery(
                 LinkSurgeryInvariants(0, 0, 0, 0), Slope(3, 1), Slope(1, 1)
             ).lambda_w
             == Fraction(-1, 18)
-            and casson_walker_link_surgery(
+            and cw.casson_walker_link_surgery(
                 LinkSurgeryInvariants(0, 0, 0, 0), Slope(2, 1), Slope(1, 1)
             ).lambda_w
             == 0
@@ -377,37 +380,40 @@ def _selftest_checks():
     )
     yield (
         "link formula meets knot formula on a split unknot",
-        lambda: casson_walker_link_surgery(
+        lambda: cw.casson_walker_link_surgery(
             LinkSurgeryInvariants(1, 0, 0, 0), Slope(5, 3), Slope(1, 1)
         ).lambda_w
-        == lambda_w_from_lambda(casson_boyer_lines(Fraction(0), 2, Slope(5, 3))),
+        == cw.lambda_w_from_lambda(cw.casson_boyer_lines(Fraction(0), 2, Slope(5, 3))),
     )
-    yield ("candidate slopes derive to {1, 2}", lambda: purely_cosmetic_candidates_ihs() == {1, 2})
+    yield ("candidate slopes derive to {1, 2}", lambda: ob.purely_cosmetic_candidates_ihs() == {1, 2})
     yield (
         "chirally cosmetic verdicts across framings",
         lambda: (
             all(
-                chirally_cosmetic_obstruction(0, p0).verdict == "obstructed"
+                ob.chirally_cosmetic_obstruction(0, p0).verdict == "obstructed"
                 for p0 in range(3, 101)
             )
-            and chirally_cosmetic_obstruction(0, 1).verdict == "inconclusive"
-            and chirally_cosmetic_obstruction(0, 2).verdict == "inconclusive"
+            and ob.chirally_cosmetic_obstruction(0, 1).verdict == "inconclusive"
+            and ob.chirally_cosmetic_obstruction(0, 2).verdict == "inconclusive"
         ),
     )
     yield (
         "surgery tau values",
         lambda: (
-            casson_gordon_tau(seifert_torus2(3), Slope(2, 1)) == 2
-            and casson_gordon_tau(SeifertMatrix([]), Slope(7, 3))
+            seifert.casson_gordon_tau(seifert.seifert_torus2(3), Slope(2, 1)) == 2
+            and seifert.casson_gordon_tau(seifert.SeifertMatrix([]), Slope(7, 3))
             == -28 * dedekind_sum_fast(3, 7)
-            and casson_gordon_tau(SeifertMatrix([[-10831, -7463], [-7464, -5143]]), Slope(5, 1)) == 4
+            and seifert.casson_gordon_tau(
+                seifert.SeifertMatrix([[-10831, -7463], [-7464, -5143]]), Slope(5, 1)
+            )
+            == 4
         ),
     )
     yield (
         "pretzel candidate analysis at negative framing",
         lambda: (
-            pretzel_analysis(1, 1, Slope(-1, 1)).verdict == "obstructed"
-            and dict(pretzel_analysis(1, 1, Slope(-1, 1)).evidence)["discriminant"] == -191
+            ob.pretzel_analysis(1, 1, Slope(-1, 1)).verdict == "obstructed"
+            and dict(ob.pretzel_analysis(1, 1, Slope(-1, 1)).evidence)["discriminant"] == -191
         ),
     )
 
@@ -430,22 +436,30 @@ def _run_selftest() -> int:
 # a (JSON payload, text line) pair of its own.
 _HANDLERS = {
     "dedekind": _run_dedekind,
-    "conway": lambda o: conway_polynomial(_load_diagram(o)),
-    "lambda": lambda o: casson_walker_link_surgery(_link_invariants(o), o["sx"], o["sy"]),
+    "conway": _run_conway,
+    "lambda": _run_lambda,
     "tau": _run_tau,
-    "pretzel": lambda o: pretzel_analysis(o["a"], o["b"], o["slope"]),
+    "pretzel": _run_pretzel,
 }
-_TEXT = {SurgeryResult: _text_surgery, ObstructionReport: _text_report, ConwayPoly: _text_conway}
+_TEXT = {
+    "cosmo.casson_walker.SurgeryResult": _text_surgery,
+    "cosmo.obstructions.ObstructionReport": _text_report,
+    "cosmo.links.ConwayPoly": _text_conway,
+}
 
 
 def run(cmd: Command) -> int:
     opt = cmd.options
     if cmd.name == "selftest":
         return _run_selftest()
-    handler = _MODES[cmd.name][opt["mode"]][1] if cmd.name in _MODES else _HANDLERS[cmd.name]
-    result = handler(opt)
+    if cmd.name in _MODES:
+        from . import obstructions
+
+        result = _MODES[cmd.name][opt["mode"]][1](obstructions, opt)
+    else:
+        result = _HANDLERS[cmd.name](opt)
     # results are records, and records are tuples too: dispatch on the type
-    render = _TEXT.get(type(result))
+    render = _TEXT.get(_result_type(result))
     payload, text = (result, render(result)) if render else result
     print(emit_json(payload) if opt["format"] == "json" else text)
     return 0

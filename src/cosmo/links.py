@@ -49,10 +49,12 @@ the base point).  Blank lines and ``#`` comments are ignored.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .arith import Q
+# the surgery-formula records and the pretzel closed form live with the code
+# that consumes them; they stay importable from here
+from .arith import LinkSurgeryInvariants, v3
+from .obstructions import _check_pretzel, pretzel_a3_closed_form
 
 __all__ = [
     "DiagramError",
@@ -518,24 +520,6 @@ def linking_number(d: LinkDiagram, i: int, j: int) -> int:
     return total // 2
 
 
-class LinkSurgeryInvariants(NamedTuple):
-    """The diagram data the surgery formula consumes."""
-
-    a2_x: int
-    a2_y: int
-    a3: int
-    lk: int
-
-
-def v3(inv: LinkSurgeryInvariants) -> Fraction:
-    """The degree-3 finite-type invariant feeding the surgery formula.
-
-    v3 = ( -a3 + (a2_x + a2_y) lk + (lk^3 - lk)/12 ) / 2, exactly.
-    """
-    lk = inv.lk
-    return Fraction(-inv.a3 + (inv.a2_x + inv.a2_y) * lk, 2) + Fraction(lk**3 - lk, 24)
-
-
 def invariants_from_diagram(d: LinkDiagram) -> LinkSurgeryInvariants:
     """Extract (a2_x, a2_y, a3, lk) from a two-component diagram."""
     if len(d.components) != 2:
@@ -619,13 +603,6 @@ def torus2_diagram(n: int) -> LinkDiagram:
     return braid_closure([1] * n, 2)
 
 
-def _check_pretzel(a: int, b: int) -> None:
-    if a < 1:
-        raise ValueError(f"pretzel parameter a must be >= 1, got {a}")
-    if b == 0:
-        raise ValueError("pretzel parameter b must be nonzero")
-
-
 def pretzel_diagram(a: int, b: int) -> LinkDiagram:
     """The two-component pretzel link with twist regions (2a+1, 2b, 2b).
 
@@ -688,13 +665,6 @@ def pretzel_diagram(a: int, b: int) -> LinkDiagram:
         ports = {p: arcs_by_port[(ci, p)] for p in ("bl", "br", "tl", "tr")}
         records.append(_emit_record(ports, passes[ci], over))
     return LinkDiagram(records, cycles)
-
-
-def pretzel_a3_closed_form(a: int, b: int) -> int:
-    """a3 of the (2a+1, 2b, 2b) pretzel link: -b (2b^2 + 6ab + 3b + 1) / 6."""
-    _check_pretzel(a, b)
-    # the numerator is -(b (b+1) (2b+1) + 6 a b^2), a multiple of 6 for every b
-    return -b * (2 * b * b + 6 * a * b + 3 * b + 1) // 6
 
 
 # ---------------------------------------------------------------------------

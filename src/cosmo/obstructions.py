@@ -18,8 +18,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import Q, Slope
-from .links import LinkSurgeryInvariants, pretzel_a3_closed_form
+from .arith import LinkSurgeryInvariants, Q, Slope
 
 __all__ = [
     "ObstructionReport",
@@ -30,6 +29,7 @@ __all__ = [
     "purely_cosmetic_obstruction_thm4",
     "chirally_cosmetic_obstruction",
     "pretzel_analysis",
+    "pretzel_a3_closed_form",
 ]
 
 OBSTRUCTED = "obstructed"
@@ -224,6 +224,20 @@ def chirally_cosmetic_obstruction(a2K0: int, p0: int) -> ObstructionReport:
             else "test silent: the sum of the two surgery values vanishes for every p"
         ),
     )
+
+
+def _check_pretzel(a: int, b: int) -> None:
+    if a < 1:
+        raise ValueError(f"pretzel parameter a must be >= 1, got {a}")
+    if b == 0:
+        raise ValueError("pretzel parameter b must be nonzero")
+
+
+def pretzel_a3_closed_form(a: int, b: int) -> int:
+    """a3 of the (2a+1, 2b, 2b) pretzel link: -b (2b^2 + 6ab + 3b + 1) / 6."""
+    _check_pretzel(a, b)
+    # the numerator is -(b (b+1) (2b+1) + 6 a b^2), a multiple of 6 for every b
+    return -b * (2 * b * b + 6 * a * b + 3 * b + 1) // 6
 
 
 def pretzel_analysis(a: int, b: int, s0: Slope) -> ObstructionReport:

@@ -24,6 +24,13 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def fresh_python(args):
+    """Run a new ``python -S`` on this checkout's package; -S keeps
+    site-packages .pth files from adding modules of their own."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cosmo.__file__).resolve().parent.parent)}
+    return subprocess.run([sys.executable, "-S", *args], env=env, capture_output=True, text=True, timeout=60)
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -344,12 +351,13 @@ class TestExitCodes:
         ]
 
     def test_inexact_elimination_is_exit_2(self, capsys, monkeypatch, tmp_path):
-        import cosmo.cli as cli_mod
+        import cosmo.seifert
 
         def inexact(s, slope):
             raise ArithmeticError("inexact division in signature elimination")
 
-        monkeypatch.setattr(cli_mod, "casson_gordon_tau", inexact)
+        # the tau handler looks the function up on its module when it runs
+        monkeypatch.setattr(cosmo.seifert, "casson_gordon_tau", inexact)
         mat = tmp_path / "trefoil.mat"
         mat.write_text("2\n-1 1\n0 -1\n")
         code, out, err = run_cli(capsys, ["tau", "--matrix", str(mat), "--slope", "5/1"])
@@ -383,13 +391,16 @@ class TestExitCodes:
         assert offenders == []
 
     def test_cli_import_loads_no_dataclasses_or_inspect(self):
-        # every cosmo process pays for what importing the CLI loads; -S keeps
-        # site-packages .pth files from adding modules of their own
-        src = Path(cosmo.__file__).resolve().parent.parent
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        code = "import sys, cosmo.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-        out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        # every cosmo process pays for what importing the CLI loads: of the
+        # compute modules, only arith, which parses the slopes
+        code = (
+            "import sys, cosmo.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('cosmo.')))"
+        )
+        out = fresh_python(["-c", code])
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == ["[]", "['cosmo.arith', 'cosmo.cli']"]
 
     def test_selftest_passes(self, capsys):
         code, out, _ = run_cli(capsys, ["selftest"])
@@ -415,6 +426,105 @@ class TestExitCodes:
         assert lines[1].startswith("ok   - always passes")
         assert lines[2].startswith("FAIL - raises (ZeroDivisionError")
         assert lines[-1] == "2 check(s) failed"
+
+
+# ``python -m cosmo.cli ARGV``, after which the last stderr line lists the
+# cosmo submodules the call loaded
+_CLI_THEN_MODULES = """
+import runpy, sys
+try:
+    runpy.run_module("cosmo.cli", run_name="__main__", alter_sys=True)
+finally:
+    print(sorted(m[6:] for m in sys.modules if m.startswith("cosmo.")), file=sys.stderr)
+"""
+
+_REPORT_MODULES = {"arith", "obstructions"}
+
+
+class TestLoadedModules:
+    """Each call loads only the compute modules it uses."""
+
+    @pytest.mark.parametrize(
+        "argv, stdout, loaded",
+        [
+            (["dedekind", "--p", "3", "--q", "7"], "s(3,7) = -1/14\n", {"arith"}),
+            (
+                ["lambda", "--lk", "0", "--a2x", "0", "--a2y", "0", "--a3", "0", "--sx", "3/1", "--sy", "1/1"],
+                "lambda_w = -1/18\nlambda   = -1/36\nD        = 3\nsigma    = 2\n",
+                {"arith", "casson_walker"},
+            ),
+            (
+                ["obstruct-purely", "--delta2", "2", "--format", "json"],
+                '{\n  "verdict": "obstructed",\n  "candidates": [],\n'
+                '  "evidence": {\n    "alexander_second_derivative_at_1": "2"\n  },\n'
+                '  "narrative": "no purely cosmetic surgery pair exists: '
+                'the Alexander second derivative at 1 is nonzero"\n}\n',
+                _REPORT_MODULES,
+            ),
+            (
+                ["obstruct-purely", "--a2", "1", "--q0", "2", "--a3", "3"],
+                "verdict: obstructed\ncandidates: (none)\nevidence:\n  a2_minus_q0_times_a3 = -5\n"
+                "narrative: no purely cosmetic pair of distinct denominators exists: a2 - q0*a3 is nonzero\n",
+                _REPORT_MODULES,
+            ),
+            (
+                ["obstruct-purely", "--a2x", "0", "--a2y", "0", "--a3", "0", "--s0", "1/1"],
+                "verdict: inconclusive\ncandidates: 1, 2\nevidence:\n"
+                "  signature_difference         = 2\n  quadratic_linear_coefficient = -3\n"
+                "  quadratic_constant_term      = 2\n  discriminant                 = 1\n"
+                "narrative: only p in {1, 2} could give a purely cosmetic pair (+p, -p); "
+                "all other coefficients are ruled out\n",
+                _REPORT_MODULES,
+            ),
+            (
+                ["obstruct-chirally", "--lambda-w", "-1/18"],
+                "verdict: obstructed\ncandidates: (none)\nevidence:\n  ambient_casson_walker = -1/18\n"
+                "narrative: no integral chirally cosmetic surgery pair exists: "
+                "the ambient Casson-Walker value is nonzero\n",
+                _REPORT_MODULES,
+            ),
+            (
+                ["obstruct-chirally", "--a2", "0", "--p0", "1"],
+                "verdict: inconclusive\ncandidates: not applicable\nevidence:\n  quadratic_value = 0\n"
+                "  chirality_sum   = 0\nnarrative: test silent: the sum of the two surgery values vanishes for every p\n",
+                _REPORT_MODULES,
+            ),
+            (
+                ["pretzel", "--a", "1", "--b", "1", "--slope", "-1/1", "--format", "json"],
+                '{\n  "verdict": "obstructed",\n  "candidates": [],\n  "evidence": {\n'
+                '    "a2_unknot_component": "0",\n    "a2_knot_component": "1",\n'
+                '    "a3_whole_link": "-2",\n    "signature_difference": "2",\n'
+                '    "quadratic_linear_coefficient": "-3",\n    "quadratic_constant_term": "50",\n'
+                '    "discriminant": "-191"\n  },\n'
+                '  "narrative": "pretzel with twist counts (3, 2, 2): no purely cosmetic surgery pair (+p, -p) '
+                'exists for any positive integer p: the candidate quadratic has no positive integer root"\n}\n',
+                _REPORT_MODULES,
+            ),
+            # the diagram code reaches the pretzel closed form in obstructions
+            (["conway", "--braid", "1,1,1"], "nabla = 1 + z^2\na0 = 1\na2 = 1\n", {"arith", "links", "obstructions"}),
+            # seifert reaches ConwayPoly in links
+            (
+                ["tau", "--torus2", "3", "--slope", "5/1", "--format", "json"],
+                '{\n  "p": 5,\n  "q": 1,\n  "tau": "4/1"\n}\n',
+                {"arith", "links", "obstructions", "seifert"},
+            ),
+        ],
+        ids=["dedekind", "lambda", "purely-bl", "purely-thm4", "purely-quad", "chirally-ihs", "chirally-family",
+             "pretzel", "conway", "tau"],
+    )
+    def test_call_prints_and_loads(self, argv, stdout, loaded):
+        out = fresh_python(["-c", _CLI_THEN_MODULES, *argv])
+        assert (out.returncode, out.stdout) == (0, stdout), out.stderr
+        assert out.stderr.splitlines()[-1] == str(sorted(loaded))
+
+    def test_selftest_imports_what_it_checks(self):
+        # a module the checks reach without importing it would fail a check
+        out = fresh_python(["-c", _CLI_THEN_MODULES, "selftest"])
+        assert out.returncode == 0, out.stdout + out.stderr
+        assert out.stdout.splitlines()[-1] == "all checks passed"
+        assert out.stderr.splitlines()[-1] == str(
+            sorted({"arith", "casson_walker", "links", "obstructions", "seifert"})
+        )
 
 
 class TestSkeinBudget:
