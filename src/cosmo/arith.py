@@ -123,33 +123,40 @@ def dedekind_sum_naive(p: int, q: int) -> Fraction:
     return Fraction(acc, 4 * m * m)
 
 
-def dedekind_sum_fast(p: int, q: int) -> Fraction:
-    """s(p, q) via the reciprocity recursion, O(log |q|) exact steps.
+def _twelve_s(p: int, q: int) -> tuple[int, int]:
+    """12 s(p, q) = num/den as an unreduced integer pair (num, den), den > 0.
 
     Uses 12 s(h, k) = (h^2 + k^2 + 1 - 3 h k)/(h k) - 12 s(k mod h, h) for
     coprime 0 < h < k, unwinding like the Euclidean algorithm.  Evenness in
     the modulus sign and periodicity in the first argument are applied first.
-    The terms are summed over one integer denominator, and one Fraction is
-    built at the end.  6 q s(p, q) is an integer (Rademacher-Grosswald,
-    *Dedekind Sums*, ch. 3), which the surgery formula relies on.
     """
     _require_coprime(p, q)
     k = abs(q)
     h = p % k  # reduces to 0 <= h < k; oddness is recovered through the recursion
-    num, den, sign = 0, 1, 1  # 12 s = num/den
+    num, den, sign = 0, 1, 1
     while k > 1:
         hk = h * k
         num = num * hk + sign * (h * h + k * k + 1 - 3 * hk) * den
         den *= hk
         sign = -sign
         h, k = k % h, h
+    return num, den
+
+
+def dedekind_sum_fast(p: int, q: int) -> Fraction:
+    """s(p, q) via the reciprocity recursion, O(log |q|) exact integer steps.
+
+    6 q s(p, q) is an integer (Rademacher-Grosswald, *Dedekind Sums*, ch. 3),
+    which the surgery formula relies on.
+    """
+    num, den = _twelve_s(p, q)
     return Fraction(num, 12 * den)
 
 
 def dedekind_symbol(s: Slope) -> Fraction:
     """Normalized symbol S(p/q) = 12 sign(q) s(p, q) of a finite slope."""
     # Slope rejects q = 0 and keeps q > 0, so sign(q) = 1 after canonicalization.
-    return 12 * dedekind_sum_fast(s.p, s.q)
+    return Fraction(*_twelve_s(s.p, s.q))
 
 
 class LinkSurgeryInvariants(NamedTuple):

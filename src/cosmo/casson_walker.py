@@ -10,7 +10,9 @@ the matrix signature times 1/8 and a sum of ten exact rational terms, and
 is solved for lambda_w by division by the determinant, which must be
 nonzero (the result is a rational homology sphere exactly then).  The ten
 terms are summed as one integer over 24 qx^2 qy^2, exact because 6 q s(p, q)
-is an integer.
+is an integer.  The Dedekind sums enter as integer pairs, and a call builds
+three ``Fraction``s, one each for lambda_w, D and lambda; the knot route
+builds one term ``Fraction`` and adds the ambient value to it.
 
 Both normalizations are carried: lambda_w (Walker) is twice lambda (Casson),
 and SurgeryResult stores the pair so no caller needs to re-derive one from
@@ -22,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import LinkSurgeryInvariants, Q, Slope, dedekind_sum_fast, dedekind_symbol
+from .arith import LinkSurgeryInvariants, Q, Slope, _twelve_s
 
 __all__ = [
     "LinkingMatrix2",
@@ -128,8 +130,8 @@ def casson_walker_link_surgery(
     dn = px * py - lk2 * qx * qy
     sigma = _signature(dn, px * qy + py * qx)  # det and trace times qx qy > 0
     v3_24 = 12 * (-inv.a3 + (inv.a2_x + inv.a2_y) * lk) + lk * lk2 - lk  # 24 v3, as in arith.v3
-    s_x, s_y = dedekind_symbol(sx), dedekind_symbol(sy)
-    qs_x, qs_y = qx * s_x.numerator // s_x.denominator, qy * s_y.numerator // s_y.denominator
+    (nx, dx), (ny, dy) = _twelve_s(px, qx), _twelve_s(py, qy)  # S(p/q) = n/d
+    qs_x, qs_y = qx * nx // dx, qy * ny // dy
     n = (
         24 * inv.a2_x * py * qy * qx2  # a2_x py/qy
         - py * qy * qx2  # - py/(24 qy)
@@ -142,24 +144,23 @@ def casson_walker_link_surgery(
         + 2 * v3_24 * qx2 * qy2  # + 2 v3
         + dn * (qy * qs_x - px * qy + qx * qs_y - py * qx)  # + (det/24)(S(sx) - px/qx + S(sy) - py/qy)
     )
-    lambda_w = Fraction(n + 3 * sigma * qx * qy * dn, 12 * qx * qy * dn)
-    return SurgeryResult(lambda_w=lambda_w, D=Fraction(dn, qx * qy), sigma=sigma, lambda_=lambda_w / 2)
+    num, den = n + 3 * sigma * qx * qy * dn, 12 * qx * qy * dn
+    return SurgeryResult(
+        lambda_w=Fraction(num, den), D=Fraction(dn, qx * qy), sigma=sigma, lambda_=Fraction(num, 2 * den)
+    )
 
 
 def casson_boyer_lines(lambda_sigma: Fraction, delta2: int, s: Slope) -> Fraction:
     """Casson invariant of p/q surgery on a knot in an integral homology sphere.
 
     ambient + (q/p) * delta2 / 2 - sign(p)/2 * s(q, p), all exact; delta2 is
-    the second derivative of the symmetric Alexander polynomial at 1.
+    the second derivative of the symmetric Alexander polynomial at 1.  With
+    12 s(q, p) = n/d the last two terms are (12 q delta2 d - |p| n)/(24 p d).
     """
     if s.p == 0:
         raise ValueError("surgery coefficient 0 does not give a rational homology sphere here")
-    sgn = 1 if s.p > 0 else -1
-    return (
-        Q(lambda_sigma)
-        + Q(s.q, s.p) * Q(delta2, 2)
-        - Q(sgn, 2) * dedekind_sum_fast(s.q, s.p)
-    )
+    n, d = _twelve_s(s.q, s.p)
+    return Q(lambda_sigma) + Fraction(12 * s.q * delta2 * d - abs(s.p) * n, 24 * s.p * d)
 
 
 def lambda_w_from_lambda(lam: Fraction) -> Fraction:

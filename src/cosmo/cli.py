@@ -301,8 +301,9 @@ def _load_matrix(seifert, opt):
     if opt.get("matrix"):
         with open(opt["matrix"], encoding="utf-8") as fh:
             m = seifert.parse_seifert_matrix(fh.read())
-        # tau is defined for knots; the constant Conway coefficient is det(S - S^T)
-        det = seifert.conway_from_seifert(m).coefficient(0)
+        # tau is defined for knots, whose Seifert matrices have det(S - S^T) = 1
+        e, n = m.entries, range(m.size)
+        det = seifert._det([{j: e[i][j] - e[j][i] for j in n} for i in n])
         if det != 1:
             raise ValueError(f"not a knot Seifert matrix: det(S - S^T) = {det}, expected 1")
         return m

@@ -4,9 +4,11 @@ Each test here is a necessary condition: "obstructed" means the cosmetic
 pair in question is ruled out, "inconclusive" means the test is silent.  No
 test ever asserts that a cosmetic pair exists.
 
-Candidate enumeration is exact.  Quadratics are solved in rational
-arithmetic with a perfect-square discriminant check, so a slope is reported
-as a candidate only when it is a literal integer root.  Where a report has
+Candidate enumeration is exact and stays in integers: the candidate
+quadratic is monic with an integer linear coefficient, so one ``math.isqrt``
+of its discriminant in lowest terms finds every integer root, and a slope is
+a candidate only when it is a literal integer root.  Each evidence
+``Fraction`` is built once, from integer numerators.  Where a report has
 no meaningful candidate set (the scalar tests, when silent), the field is
 None rather than an empty tuple; an empty tuple always means "everything is
 ruled out".
@@ -74,27 +76,18 @@ class ObstructionReport(_ObstructionReportFields):
         return cls(*iterable)  # so _replace validates too
 
 
-def _exact_sqrt(f: Fraction) -> Fraction | None:
-    """Square root of a nonnegative rational, or None if it is irrational."""
-    if f < 0:
-        return None
-    rn, rd = math.isqrt(f.numerator), math.isqrt(f.denominator)
-    if rn * rn == f.numerator and rd * rd == f.denominator:
-        return Q(rn, rd)
-    return None
-
-
-def _positive_integer_roots(c1: Fraction, c0: Fraction) -> tuple[int, ...]:
-    """Positive integer roots of the monic x^2 + c1 x + c0, found exactly."""
-    root = _exact_sqrt(Q(c1 * c1 - 4 * c0))
-    if root is None:
+def _positive_integer_roots(b: int, disc: Fraction | int) -> tuple[int, ...]:
+    """Positive integer roots of a monic x^2 + b x + c with integer b, found
+    from its discriminant b^2 - 4c in lowest terms.  The roots (-b +- r)/2
+    are integers only when disc is an integer square r^2 with r = b mod 2.
+    """
+    n = disc.numerator
+    if disc.denominator != 1 or n < 0:
         return ()
-    found = set()
-    for s in (root, -root):
-        x = (-c1 + s) / 2
-        if x.denominator == 1 and x > 0:
-            found.add(int(x))
-    return tuple(sorted(found))
+    r = math.isqrt(n)
+    if r * r != n or (r - b) % 2:
+        return ()
+    return tuple(x for x in sorted({(-b - r) // 2, (-b + r) // 2}) if x > 0)
 
 
 def purely_cosmetic_candidates_ihs() -> set[int]:
@@ -103,7 +96,7 @@ def purely_cosmetic_candidates_ihs() -> set[int]:
     vanishes: the closed-form numerator (p-1)(p-2) = p^2 - 3p + 2 is solved
     exactly.
     """
-    return set(_positive_integer_roots(Q(-3), Q(2)))
+    return set(_positive_integer_roots(-3, 9 - 4 * 2))
 
 
 def purely_cosmetic_obstruction_bl(delta2: int) -> ObstructionReport:
@@ -139,6 +132,43 @@ def chirally_cosmetic_obstruction_ihs(lambda_w_sigma: Fraction) -> ObstructionRe
     )
 
 
+def _quadratic(a2_x: int, a3: int, s0: Slope) -> tuple:
+    """The fields of ``purely_cosmetic_quadratic``'s report, for lk = 0.
+
+    With s0 = p0/q0 the quadratic is x^2 - 3x + c/p0, where
+    c = (2 - 24 a2_x) p0 + 24 q0 a3, so its discriminant is (9 p0 - 4c)/p0.
+    """
+    p0 = s0.p
+    if p0 == 0:
+        raise ValueError("framing slope 0 on the second component is not allowed here")
+    # With lk = 0 the framing matrices are diag(+-p, s0), and s0 != 0 gives
+    # sig diag(p, s0) - sig diag(-p, s0) = 2 for every p > 0.
+    sig_diff = 2
+    lin = -3  # -3 sig_diff / 2
+    c = (2 - 24 * a2_x) * p0 + 24 * s0.q * a3
+    disc = Fraction(lin * lin * p0 - 4 * c, p0)
+    candidates = _positive_integer_roots(lin, disc)
+    hit = len(candidates) == 0
+    if hit:
+        narrative = (
+            "no purely cosmetic surgery pair (+p, -p) exists for any positive integer p: "
+            "the candidate quadratic has no positive integer root"
+        )
+    else:
+        listed = ", ".join(str(x) for x in candidates)
+        narrative = (
+            f"only p in {{{listed}}} could give a purely cosmetic pair (+p, -p); "
+            "all other coefficients are ruled out"
+        )
+    evidence = (
+        ("signature_difference", sig_diff),
+        ("quadratic_linear_coefficient", Fraction(lin)),
+        ("quadratic_constant_term", Fraction(c, p0)),
+        ("discriminant", disc),
+    )
+    return OBSTRUCTED if hit else INCONCLUSIVE, candidates, evidence, narrative
+
+
 def purely_cosmetic_quadratic(inv: LinkSurgeryInvariants, s0: Slope) -> ObstructionReport:
     """Candidate surgery coefficients p for which +p and -p surgery on the
     first component (the second framed at s0) could agree.
@@ -149,38 +179,7 @@ def purely_cosmetic_quadratic(inv: LinkSurgeryInvariants, s0: Slope) -> Obstruct
     """
     if inv.lk != 0:
         raise ValueError("candidate test requires linking number zero")
-    if s0.p == 0:
-        raise ValueError("framing slope 0 on the second component is not allowed here")
-    # With lk = 0 the framing matrices are diag(+-p, s0), and s0 != 0 gives
-    # sig diag(p, s0) - sig diag(-p, s0) = 2 for every p > 0.
-    sig_diff = 2
-    lin = -Q(3 * sig_diff, 2)
-    const = 2 - 24 * inv.a2_x + 24 * Q(s0.q, s0.p) * inv.a3
-    disc = lin * lin - 4 * const
-    candidates = _positive_integer_roots(lin, const)
-    hit = len(candidates) == 0
-    if hit:
-        narrative = (
-            "no purely cosmetic surgery pair (+p, -p) exists for any positive integer p: "
-            "the candidate quadratic has no positive integer root"
-        )
-    else:
-        listed = ", ".join(str(c) for c in candidates)
-        narrative = (
-            f"only p in {{{listed}}} could give a purely cosmetic pair (+p, -p); "
-            "all other coefficients are ruled out"
-        )
-    return ObstructionReport(
-        verdict=OBSTRUCTED if hit else INCONCLUSIVE,
-        candidates=candidates,
-        evidence=(
-            ("signature_difference", sig_diff),
-            ("quadratic_linear_coefficient", lin),
-            ("quadratic_constant_term", const),
-            ("discriminant", disc),
-        ),
-        narrative=narrative,
-    )
+    return ObstructionReport(*_quadratic(inv.a2_x, inv.a3, s0))
 
 
 def purely_cosmetic_obstruction_thm4(a2K: int, q0: int, a3L: int) -> ObstructionReport:
@@ -245,16 +244,7 @@ def pretzel_analysis(a: int, b: int, s0: Slope) -> ObstructionReport:
     counts (2a+1, 2b, 2b), using the closed forms for its invariants."""
     a3 = pretzel_a3_closed_form(a, b)
     a2_knot = a * (a + 1) // 2
-    inv = LinkSurgeryInvariants(a2_x=0, a2_y=a2_knot, a3=a3, lk=0)
-    inner = purely_cosmetic_quadratic(inv, s0)
-    evidence = (
-        ("a2_unknot_component", 0),
-        ("a2_knot_component", a2_knot),
-        ("a3_whole_link", a3),
-    ) + inner.evidence
-    return ObstructionReport(
-        verdict=inner.verdict,
-        candidates=inner.candidates,
-        evidence=evidence,
-        narrative=f"pretzel with twist counts ({2 * a + 1}, {2 * b}, {2 * b}): " + inner.narrative,
-    )
+    verdict, candidates, evidence, narrative = _quadratic(0, a3, s0)  # the first component is the unknot
+    evidence = (("a2_unknot_component", 0), ("a2_knot_component", a2_knot), ("a3_whole_link", a3)) + evidence
+    prefix = f"pretzel with twist counts ({2 * a + 1}, {2 * b}, {2 * b}): "
+    return ObstructionReport(verdict, candidates, evidence, prefix + narrative)

@@ -158,6 +158,12 @@ def _pivots(rows: list[dict[int, int]], symmetric: bool) -> list[int]:
     return pivots
 
 
+def _det(rows: list[dict[int, int]]) -> int:
+    """Determinant of a square integer matrix of dense rows, consumed as by ``_pivots``."""
+    pivots = [1] + _pivots(rows, symmetric=False)  # the empty matrix has determinant 1
+    return pivots[-1] if len(pivots) > len(rows) else 0
+
+
 def _laurent_to_z(laurent: dict[int, int]) -> dict[int, int]:
     """Rewrite a Laurent polynomial in x as a polynomial in z = x - x^-1.
 
@@ -195,10 +201,7 @@ def conway_from_seifert(s: SeifertMatrix) -> ConwayPoly:
     if n == 0:
         return ConwayPoly.one()
     e = s.entries
-    values = []
-    for y in range(n + 1):
-        pivots = _pivots([{j: y * e[i][j] - e[j][i] for j in range(n)} for i in range(n)], symmetric=False)
-        values.append(pivots[-1] if len(pivots) == n else 0)
+    values = [_det([{j: y * e[i][j] - e[j][i] for j in range(n)} for i in range(n)]) for y in range(n + 1)]
     newton = []
     for k in range(n + 1):
         newton.append(values[0] // math.factorial(k))

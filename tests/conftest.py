@@ -3,7 +3,15 @@
 Tests opt in by carrying a ``_criterion = (number, label)`` attribute, set
 by the ``criterion`` decorator in test_acceptance.py.  The summary goes
 through pytest's terminal reporter so it survives output capture.
+
+Hypothesis runs derandomized: every test draws the same examples on every
+run, so the suite's outcome does not depend on a random seed.
 """
+
+from hypothesis import settings
+
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 _labels = {}
 _outcomes = {}

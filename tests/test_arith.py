@@ -142,6 +142,18 @@ class TestDedekindSymbol:
         assert dedekind_symbol(Slope(-2, -5)) == dedekind_symbol(Slope(2, 5))
         assert dedekind_symbol(Slope(3, -7)) == dedekind_symbol(Slope(-3, 7))
 
+    def test_twelve_times_sum_seeded(self):
+        rng = random.Random(20261019)
+        checked = negative = 0
+        while checked < 500:
+            p, q = rng.randint(-10**6, 10**6), rng.randint(1, 2000)
+            if math.gcd(p, q) == 1:
+                got = dedekind_symbol(Slope(p, q))
+                assert type(got) is Fraction and got == 12 * dedekind_sum_fast(p, q), (p, q)
+                checked += 1
+                negative += p < 0
+        assert negative > 200
+
     @given(coprime_pairs)
     def test_reciprocity(self, pq):
         p, q = pq

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cosmo.arith import Q, Slope, dedekind_symbol
+from cosmo.arith import Q, Slope, dedekind_sum_naive, dedekind_symbol
 from cosmo.casson_walker import (
     LinkingMatrix2,
     SurgeryResult,
@@ -228,6 +228,23 @@ class TestKnotSurgery:
     def test_zero_numerator_rejected(self):
         with pytest.raises(ValueError):
             casson_boyer_lines(Fraction(0), 0, Slope(0, 1))
+
+    def test_matches_fraction_route_on_seeded_inputs(self):
+        rng = random.Random(20261020)
+        checked = negative = 0
+        while checked < 400:
+            p, q = rng.randint(-300, 300), rng.randint(1, 300)
+            if p == 0 or math.gcd(p, q) != 1:
+                continue
+            lam = rng.choice([0, Fraction(rng.randint(-50, 50), rng.randint(1, 30))])
+            delta2, s = rng.randint(-40, 40), Slope(p, q)
+            sgn = 1 if p > 0 else -1
+            expected = Q(lam) + Q(q, p) * Q(delta2, 2) - Q(sgn, 2) * dedekind_sum_naive(q, p)
+            got = casson_boyer_lines(lam, delta2, s)
+            assert type(got) is Fraction and got == expected, (lam, delta2, s)
+            checked += 1
+            negative += p < 0
+        assert negative > 100
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -326,7 +326,8 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "planar" in err
 
-    @pytest.mark.parametrize("matrix_text", ["2\n1 0\n0 1\n", "1\n0\n"])
+    # every case has det(S - S^T) = 0; the 3x3 one because a skew matrix of odd order is singular
+    @pytest.mark.parametrize("matrix_text", ["2\n1 0\n0 1\n", "1\n0\n", "1\n1\n", "3\n-1 1 0\n0 -1 2\n1 0 3\n"])
     def test_tau_rejects_non_knot_matrix(self, capsys, tmp_path, matrix_text):
         mat = tmp_path / "notknot.mat"
         mat.write_text(matrix_text)
@@ -334,6 +335,16 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "det(S - S^T)" in err
+        assert err == "error: not a knot Seifert matrix: det(S - S^T) = 0, expected 1\n"
+
+    def test_tau_accepts_scrambled_trefoil(self, capsys, tmp_path):
+        # P S P^T for the trefoil's S = [[-1, 1], [0, -1]] and P = [[1, 2], [1, 3]]
+        mat = tmp_path / "scrambled.mat"
+        mat.write_text("2\n-3 -4\n-5 -7\n")
+        for slope in ("5/1", "7/3", "2/1"):
+            code, out, err = run_cli(capsys, ["tau", "--matrix", str(mat), "--slope", slope])
+            assert (code, err) == (0, "")
+            assert out == run_cli(capsys, ["tau", "--torus2", "3", "--slope", slope])[1]
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,5 +1,7 @@
 """Obstruction test coverage: frozen verdicts, exact roots, soundness links."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from cosmo.obstructions import (
     ObstructionReport,
     chirally_cosmetic_obstruction,
     chirally_cosmetic_obstruction_ihs,
+    pretzel_a3_closed_form,
     pretzel_analysis,
     purely_cosmetic_candidates_ihs,
     purely_cosmetic_obstruction_bl,
@@ -171,6 +174,83 @@ class TestQuadraticCandidates:
         for p in range(1, 21):
             diff = lambda_w_difference(inv, p, s0)
             assert (diff == 0) == (p in report.candidates)
+
+
+def quadratic_fraction_route(inv, s0):
+    """Oracle: the candidate quadratic x^2 + lin x + const in Fraction
+    arithmetic, its discriminant, and its positive integer roots."""
+    lin = -Fraction(3 * 2, 2)
+    const = 2 - 24 * inv.a2_x + 24 * Fraction(s0.q, s0.p) * inv.a3
+    disc = lin * lin - 4 * const
+    roots = set()
+    rn, rd = math.isqrt(max(disc.numerator, 0)), math.isqrt(disc.denominator)
+    if disc >= 0 and rn * rn == disc.numerator and rd * rd == disc.denominator:
+        for root in (Fraction(rn, rd), -Fraction(rn, rd)):
+            x = (-lin + root) / 2
+            if x.denominator == 1 and x > 0:
+                roots.add(int(x))
+    return tuple(sorted(roots)), (
+        ("signature_difference", 2),
+        ("quadratic_linear_coefficient", lin),
+        ("quadratic_constant_term", const),
+        ("discriminant", disc),
+    )
+
+
+class TestQuadraticOracle:
+    def check(self, inv, s0):
+        candidates, evidence = quadratic_fraction_route(inv, s0)
+        report = purely_cosmetic_quadratic(inv, s0)
+        assert report.candidates == candidates, (inv, s0)
+        assert report.verdict == ("inconclusive" if candidates else "obstructed")
+        assert report.evidence == evidence
+        assert [type(v) for _, v in report.evidence] == [type(v) for _, v in evidence]
+        return report
+
+    @pytest.mark.parametrize(
+        "a2x, a3, s0, disc, candidates",
+        [
+            (0, 0, Slope(1), 1, (1, 2)),
+            (-3, 1, Slope(-1, 3), 1, (1, 2)),  # negative p0
+            (0, -5, Slope(6), 81, (6,)),
+            (-3, 1, Slope(-2, 7), 49, (5,)),  # negative p0, a negative root dropped
+            (0, -1, Slope(12), 9, (3,)),  # constant term 0: the root 0 dropped
+            (0, -2, Slope(-1), -191, ()),  # negative discriminant
+            (6, 1, Slope(96), 576, ()),  # square discriminant of the wrong parity
+            (0, 1, Slope(-51), Fraction(49, 17), ()),  # square over a non-square
+            (0, -1, Slope(25), Fraction(121, 25), ()),  # square over a square: roots not integers
+        ],
+    )
+    def test_frozen_cases(self, a2x, a3, s0, disc, candidates):
+        report = self.check(LinkSurgeryInvariants(a2x, 7, a3, 0), s0)
+        assert dict(report.evidence)["discriminant"] == disc
+        assert report.candidates == candidates
+
+    def test_matches_fraction_route_on_seeded_inputs(self):
+        rng = random.Random(20261021)
+        seen = set()
+        for _ in range(3000):
+            p0, q0 = rng.choice([-1, 1]) * rng.randint(1, 120), rng.randint(1, 40)
+            if math.gcd(p0, q0) != 1:
+                continue
+            inv = LinkSurgeryInvariants(rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(-30, 30), 0)
+            report = self.check(inv, Slope(p0, q0))
+            disc = dict(report.evidence)["discriminant"]
+            seen.add((p0 < 0, disc < 0, disc.denominator > 1, bool(report.candidates)))
+        assert len(seen) >= 8
+
+    def test_pretzel_shares_the_quadratic(self):
+        rng = random.Random(20261022)
+        for _ in range(200):
+            a, b = rng.randint(1, 12), rng.choice([-1, 1]) * rng.randint(1, 12)
+            s0 = Slope(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 30))
+            report = pretzel_analysis(a, b, s0)
+            inv = LinkSurgeryInvariants(0, a * (a + 1) // 2, pretzel_a3_closed_form(a, b), 0)
+            inner = self.check(inv, s0)
+            assert report.candidates == inner.candidates and report.verdict == inner.verdict
+            assert report.evidence[3:] == inner.evidence
+            assert [type(v) for _, v in report.evidence[3:]] == [type(v) for _, v in inner.evidence]
+            assert report.narrative.endswith(inner.narrative)
 
 
 class TestPretzelAnalysis:
