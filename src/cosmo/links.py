@@ -16,12 +16,17 @@ component is its base point, where skein walks start.
 Validation
 ----------
 A diagram is checked once, where it enters from outside.  The public
-``LinkDiagram`` constructor checks signs, arc labels and component cycles;
-``parse_pd``, ``pretzel_diagram`` and the unlink generators go through it,
-and ``parse_pd`` adds a planarity parity check.  Skein children
-(``switch_crossing``, ``smooth_crossing``), component sub-diagrams and
-braid closures (after their letters are checked) are built from data that
-is already consistent, so they are assembled without being checked again.
+``LinkDiagram`` constructor checks signs, arc labels and component cycles,
+and rejects a strand whose one arc leaves a crossing and runs straight back
+into it (no planar diagram has one: the loop would cut the other strand's
+ends apart).  ``parse_pd``, ``pretzel_diagram`` and the unlink generators go
+through it, and ``parse_pd`` adds a planarity parity check.  Skein children,
+component sub-diagrams and braid closures (after their letters are checked)
+are built from data that is already consistent, so they are assembled
+without being checked again.  ``switch_crossing`` rewrites one record.
+``smooth_crossing`` splices the one or two cycles through the crossing and
+renames only the records that touch a joined arc; the result is the diagram
+``_weld`` would build from the remaining crossings.
 
 Conway polynomial
 -----------------
@@ -158,6 +163,9 @@ class LinkDiagram:
             for arc in (x.a, x.b, x.c, x.d):
                 if not isinstance(arc, int) or arc < 1:
                     raise DiagramError(f"crossing {ci}: arc labels must be positive integers")
+            if x.a == x.c or x.b == x.d:
+                loop = x.a if x.a == x.c else x.b
+                raise DiagramError(f"crossing {ci}: arc {loop} leaves it and runs straight back in, which no planar diagram has")
             for arc, role in ((x.a, "u"), (x.over_in, "o")):
                 if arc in head:
                     raise DiagramError(f"arc {arc} enters two crossings")
@@ -207,11 +215,63 @@ class LinkDiagram:
         return object.__new__(LinkDiagram)._assemble(xs, self.components, head, self._arc_component)
 
     def smooth_crossing(self, i: int) -> "LinkDiagram":
-        """Oriented smoothing at crossing i: under-in joins over-out, over-in joins under-out."""
-        x = self.crossings[i]
-        pairs = ((x.a, x.b), (x.c, x.d)) if x.sign > 0 else ((x.a, x.d), (x.b, x.c))
-        circles = [c[0] for c in self.components if len(c) == 1]
-        return _weld(self.crossings[:i] + self.crossings[i + 1 :], pairs, circles)
+        """Oriented smoothing at crossing i: under-in joins over-out, over-in joins under-out.
+
+        Only the cycles through crossing i change, so the child is spliced
+        from them; it equals what ``_weld`` builds from the remaining
+        crossings, each joined pair named by its smaller arc.
+        """
+        a, b, c, d, sign = self.crossings[i]
+        oi, oo = (d, b) if sign > 0 else (b, d)
+        if a == c or oi == oo:
+            # a strand that loops straight back, left by a non-planar parent
+            circles = [cyc[0] for cyc in self.components if len(cyc) == 1]
+            return _weld(self.crossings[:i] + self.crossings[i + 1 :], ((a, oo), (oi, c)), circles)
+        m1, m2 = min(a, oo), min(oi, c)  # the names of the two joined arcs
+        head = self._head
+        comps = list(self.components)
+        ca, co = self._arc_component[a], self._arc_component[oi]
+        under = comps[ca]
+        k = under.index(c)
+        under = under[k:] + under[:k]  # c, ..., a
+        pred_a = under[-2]
+        if ca == co:  # c, X..., oi, oo, Y..., a splits into (m2,)+X and (m1,)+Y
+            k = under.index(oi)
+            pred_oi = under[k - 1]
+            new = [(m2,) + under[1:k], (m1,) + under[k + 2 : -1]]
+            del comps[ca]
+        else:  # c, X..., a and oo, Y..., oi join into (m1,)+Y+(m2,)+X
+            over = comps[co]
+            k = over.index(oo)
+            over = over[k:] + over[:k]
+            pred_oi = over[-2]
+            new = [(m1,) + over[1:-1] + (m2,) + under[1:-1]]
+            del comps[max(ca, co)], comps[min(ca, co)]
+        # every cycle read from its smallest arc; the first arcs differ, so the
+        # tuples sort by them
+        comps = [cyc if (k := cyc.index(min(cyc))) == 0 else cyc[k:] + cyc[:k] for cyc in comps + new]
+        comps.sort()
+
+        # each lost name occurs once outside crossing i: where oo or c enters,
+        # or where a or oi leaves (the crossing its predecessor enters)
+        ren, touched = {}, set()
+        if a != oo:
+            ren[max(a, oo)] = m1
+            touched.add(head[oo][0] if a < oo else head[pred_a][0])
+        if oi != c:
+            ren[max(oi, c)] = m2
+            touched.add(head[c][0] if oi < c else head[pred_oi][0])
+        xs = list(self.crossings)
+        for j in touched:
+            y = xs[j]
+            xs[j] = Crossing(ren.get(y.a, y.a), ren.get(y.b, y.b), ren.get(y.c, y.c), ren.get(y.d, y.d), y.sign)
+        del xs[i]
+        new_head = {arc: ((j, role) if j < i else (j - 1, role)) for arc, (j, role) in head.items() if j != i}
+        if a < oo:
+            new_head[a] = new_head.pop(oo)
+        if oi < c:
+            new_head[oi] = new_head.pop(c)
+        return object.__new__(LinkDiagram)._assemble(tuple(xs), tuple(comps), new_head)
 
     # -- descending walk ------------------------------------------------------
 
@@ -276,6 +336,9 @@ def _weld(
 
     Each welded class is renamed to its smallest arc.  A welded class, or an
     arc in ``circles``, that no crossing touches becomes a crossing-free circle.
+    Every cycle is read from its smallest arc, the cycles sorted by it.  It
+    closes braids, cuts out component sub-diagrams, and smooths a crossing
+    whose strand loops straight back, which only a non-planar parent leaves.
     """
     root: dict[int, int] = {}
 

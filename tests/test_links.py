@@ -305,6 +305,25 @@ class TestDiagramValidation:
         with pytest.raises(DiagramError):
             LinkDiagram([(1, 2, 3, 4, 0)], ((1, 3), (2, 4)))
 
+    @pytest.mark.parametrize(
+        "records, arc",
+        [
+            ([(1, 2, 1, 3, 1), (2, 5, 7, 4, 1), (7, 4, 3, 5, 1)], 1),  # under strand 1 -> 1
+            ([(1, 3, 2, 3, 1), (2, 4, 1, 4, -1)], 3),  # over strand 3 -> 3
+        ],
+    )
+    def test_self_loop_strand_rejected(self, records, arc):
+        with pytest.raises(DiagramError) as exc:
+            LinkDiagram(records)
+        assert str(exc.value) == f"crossing 0: arc {arc} leaves it and runs straight back in, which no planar diagram has"
+
+    def test_self_loop_rejected_when_read(self):
+        with pytest.raises(DiagramError) as exc:
+            parse_pd("X 1,2,1,3 +\nX 2,5,7,4 +\nX 7,4,3,5 +\n")
+        assert str(exc.value) == (
+            "inconsistent diagram: crossing 0: arc 1 leaves it and runs straight back in, which no planar diagram has"
+        )
+
     def test_linking_number_needs_distinct_components(self):
         hopf = braid_closure([1, 1], 2)
         with pytest.raises(DiagramError):
@@ -479,6 +498,93 @@ class TestTrustedAssembly:
             self.walk_with_components(torus2_diagram(n))
 
 
+def welded_smoothing(d, i):
+    """Independent route to the smoothing at crossing i: re-weld the whole diagram."""
+    x = d.crossings[i]
+    circles = [cyc[0] for cyc in d.components if len(cyc) == 1]
+    return links._weld(d.crossings[:i] + d.crossings[i + 1 :], ((x.a, x.over_out), (x.over_in, x.c)), circles)
+
+
+class TestSmoothingSplice:
+    """smooth_crossing splices the touched cycles; it must build exactly the welded diagram."""
+
+    @staticmethod
+    def assert_smoothings_weld(d):
+        """Compare every smoothing of d field by field; return the kinks among its crossings."""
+        kinks = 0
+        for i, x in enumerate(d.crossings):
+            spliced, welded = d.smooth_crossing(i), welded_smoothing(d, i)
+            assert spliced.crossings == welded.crossings
+            assert spliced.components == welded.components
+            assert spliced._head == welded._head
+            assert spliced._arc_component == welded._arc_component
+            kinks += x.a == x.over_out or x.over_in == x.c
+        return kinks
+
+    def walk(self, root):
+        """Check every node of the memoized skein tree of root; return (nodes, kinks)."""
+        seen, stack, nodes, kinks = set(), [root], 0, 0
+        while stack:
+            d = stack.pop()
+            key = d.canonical_key()
+            if key in seen:
+                continue
+            seen.add(key)
+            nodes += 1
+            kinks += self.assert_smoothings_weld(d)
+            bad = d.first_bad_crossing()
+            if bad is not None:
+                stack += [d.switch_crossing(bad), d.smooth_crossing(bad)]
+        return nodes, kinks
+
+    def test_braid_closures(self):
+        rng = random.Random(13)
+        nodes = kinks = 0
+        for _ in range(120):
+            strands = rng.randint(2, 5)
+            word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(1, 9))]
+            n, k = self.walk(braid_closure(word, strands))
+            nodes, kinks = nodes + n, kinks + k
+        assert nodes > 2000 and kinks > 1000
+
+    @pytest.mark.parametrize("a, b", [(1, 1), (1, -2), (2, 1), (2, -1)])
+    def test_pretzels_read_back_from_text(self, a, b):
+        self.walk(parse_pd(format_pd(pretzel_diagram(a, b))))
+
+    def test_small_diagrams(self):
+        for d in (torus2_diagram(3), torus2_diagram(7), braid_closure([1, 1], 2), braid_closure([1], 2)):
+            self.walk(d)
+        assert self.assert_smoothings_weld(braid_closure([1], 2)) == 1
+
+    def test_base_points_off_the_smallest_arc(self):
+        # a root read from text keeps its base points and component order
+        d = braid_closure([1, -2, 1, 2, -1], 3)
+        moved = LinkDiagram(d.crossings, [cyc[1:] + cyc[:1] for cyc in reversed(d.components)])
+        self.walk(moved)
+
+    def test_non_planar_codes(self):
+        # random pairings of in- and out-arcs are mostly not planar; their
+        # smoothings can leave a strand that loops straight back
+        rng = random.Random(5)
+        loops = 0
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            ins, outs = rng.sample(range(1, 2 * n + 1), 2 * n), rng.sample(range(1, 2 * n + 1), 2 * n)
+            records = []
+            for j in range(n):
+                a, oi, c, oo = ins[2 * j], ins[2 * j + 1], outs[2 * j], outs[2 * j + 1]
+                records.append((a, oo, c, oi, 1) if rng.random() < 0.5 else (a, oi, c, oo, -1))
+            try:
+                d = LinkDiagram(records)
+            except DiagramError:
+                continue
+            while d.crossings:
+                self.assert_smoothings_weld(d)
+                loops += any(x.a == x.c or x.over_in == x.over_out for x in d.crossings)
+                d = d.smooth_crossing(rng.randrange(len(d.crossings)))
+        assert loops > 50
+
+
 class TestSkeinBudget:
     def test_crossing_cap_is_fixed_at_40(self):
         assert links.SKEIN_CROSSING_LIMIT == 40
@@ -493,6 +599,14 @@ class TestSkeinBudget:
         assert conway_polynomial(d) == torus2_conway_closed_form(15)
         monkeypatch.setattr(links, "SKEIN_NODE_BUDGET", 55)
         with pytest.raises(DiagramError, match="more than 55 skein nodes"):
+            conway_polynomial(d)
+
+    def test_pretzel_3_3_expands_964_nodes(self, monkeypatch):
+        d = pretzel_diagram(3, 3)
+        monkeypatch.setattr(links, "SKEIN_NODE_BUDGET", 964)
+        assert conway_polynomial(d).coefficient(3) == pretzel_a3_closed_form(3, 3)
+        monkeypatch.setattr(links, "SKEIN_NODE_BUDGET", 963)
+        with pytest.raises(DiagramError, match="more than 963 skein nodes"):
             conway_polynomial(d)
 
     def test_budget_binds_the_plain_engine(self, monkeypatch):
