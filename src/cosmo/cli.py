@@ -287,7 +287,18 @@ def _run_conway(opt):
         with open(opt["pd"], encoding="utf-8") as fh:
             diagram = links.parse_pd(fh.read())
     else:
-        diagram = links.braid_closure(opt["braid"], opt["strands"])
+        # a closure has a crossing per letter and a circle per unused strand,
+        # so both are bounded before it is built
+        word, strands = opt["braid"], opt["strands"]
+        if len(word) > links.SKEIN_CROSSING_LIMIT:
+            raise links._too_large(len(word))
+        if strands is None:
+            strands = max((abs(w) for w in word), default=1) + 1
+        if strands > links.SKEIN_CROSSING_LIMIT + 1:
+            raise links.DiagramError(
+                f"braid too wide for skein oracle: {strands} strands > limit {links.SKEIN_CROSSING_LIMIT + 1}"
+            )
+        diagram = links.braid_closure(word, strands)
     return links.conway_polynomial(diagram)
 
 

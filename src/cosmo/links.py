@@ -23,26 +23,35 @@ ends apart).  ``parse_pd``, ``pretzel_diagram`` and the unlink generators go
 through it, and ``parse_pd`` adds a planarity parity check.  Skein children,
 component sub-diagrams and braid closures (after their letters are checked)
 are built from data that is already consistent, so they are assembled
-without being checked again.  ``switch_crossing`` rewrites one record.
-``smooth_crossing`` splices the one or two cycles through the crossing and
-renames only the records that touch a joined arc; the result is the diagram
-``_weld`` would build from the remaining crossings.
+without being checked again.  ``switch_crossing`` rewrites one record and
+shares everything else with its parent.  ``smooth_crossing`` splices the one
+or two cycles through the crossing and renames only the records that touch a
+joined arc; the result is the diagram ``_weld`` would build from the
+remaining crossings.  A child's arc indexes (the crossing each arc enters,
+the component each arc lies on) are built the first time they are read: a
+descending leaf, which ends its branch, never reads them.
 
 Conway polynomial
 -----------------
 ``conway_polynomial`` resolves a diagram by walking the components in listed
-order from their base points.  The first crossing met on its under-strand
-before its over-strand has been visited is the branch site: the crossing gets
-switched in one child and replaced by the oriented smoothing in the other,
-and nabla(D) = nabla(switched) + sign * z * nabla(smoothed).  Fully
+order from their base points.  A crossing met on its under-strand before its
+over-strand is bad, and the first bad crossing met is the branch site: it
+gets switched in one child and replaced by the oriented smoothing in the
+other, and nabla(D) = nabla(switched) + sign * z * nabla(smoothed).  Fully
 descending diagrams are stacked unknots: value 1 for one component, 0 for
 two or more.  Results are memoized on a canonical serialization of the
 diagram: arcs renumbered 1..N in traversal order from the base points, then
 the crossings sorted.  Equal keys mean the same diagram up to arc names, and
-the memoized polynomial is a link invariant.  Shared memo tables only ever
-see atomic dict get/set, so concurrent readers are safe.  One call takes a
-diagram of at most ``SKEIN_CROSSING_LIMIT`` crossings and expands at most
-``SKEIN_NODE_BUDGET`` skein nodes; past either it raises ``DiagramError``.
+the memoized polynomial is a link invariant.  That numbering is the walk's
+visiting order, so a crossing is bad exactly when its under-in arc is
+numbered below its over-in arc, and the branch site is the bad crossing
+whose under-in arc is numbered lowest; the pass that builds the key finds
+it, and nothing walks the arcs.  A switched child has its parent's arcs and
+numbering, so its key and its bad crossings are its parent's with one
+record replaced.  Shared memo tables only ever see atomic dict get/set, so
+concurrent readers are safe.  One call takes a diagram of at most
+``SKEIN_CROSSING_LIMIT`` crossings and expands at most ``SKEIN_NODE_BUDGET``
+skein nodes; past either it raises ``DiagramError``.
 
 Text format
 -----------
@@ -53,7 +62,9 @@ the base point).  Blank lines and ``#`` comments are ignored.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import Counter
+from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 # the surgery-formula records and the pretzel closed form live with the code
@@ -126,7 +137,7 @@ class LinkDiagram:
     component sub-diagrams) are assembled directly and not checked again.
     """
 
-    __slots__ = ("crossings", "components", "_head", "_arc_component", "_key")
+    __slots__ = ("crossings", "components", "_head_map", "_arc_component_map", "_pos", "_key", "_bads")
 
     def __init__(self, crossings: Iterable[tuple], components: Sequence[Sequence[int]] | None = None) -> None:
         self.crossings = tuple(Crossing(*x) for x in crossings)
@@ -140,22 +151,26 @@ class LinkDiagram:
             raise DiagramError("a diagram needs at least one component")
         self._assemble(self.crossings, comps, head)
 
-    def _assemble(self, crossings, components, head, arc_component=None) -> "LinkDiagram":
-        """Set every field from parts already known to form a diagram; no checks."""
+    def _assemble(self, crossings, components, head=None, arc_component=None, pos=None) -> "LinkDiagram":
+        """Set every field from parts already known to form a diagram; no checks.
+
+        The arc indexes, the numbering, the key and the bad crossings that are
+        not given are built the first time they are read.
+        """
         self.crossings = crossings
         self.components = components
-        self._head = head
-        if arc_component is None:
-            arc_component = {arc: ci for ci, cyc in enumerate(components) for arc in cyc}
-        self._arc_component = arc_component
+        self._head_map = head
+        self._arc_component_map = arc_component
+        self._pos = pos
         self._key = None
+        self._bads = None
         return self
 
     # -- construction-time validation -------------------------------------
 
     def _index_crossings(self):
         succ: dict[int, int] = {}
-        head: dict[int, tuple[int, str]] = {}
+        head: dict[int, int] = {}
         outgoing: set[int] = set()
         for ci, x in enumerate(self.crossings):
             if x.sign not in (1, -1):
@@ -166,10 +181,10 @@ class LinkDiagram:
             if x.a == x.c or x.b == x.d:
                 loop = x.a if x.a == x.c else x.b
                 raise DiagramError(f"crossing {ci}: arc {loop} leaves it and runs straight back in, which no planar diagram has")
-            for arc, role in ((x.a, "u"), (x.over_in, "o")):
+            for arc in (x.a, x.over_in):
                 if arc in head:
                     raise DiagramError(f"arc {arc} enters two crossings")
-                head[arc] = (ci, role)
+                head[arc] = ci
             for arc in (x.c, x.over_out):
                 if arc in outgoing:
                     raise DiagramError(f"arc {arc} leaves two crossings")
@@ -198,6 +213,35 @@ class LinkDiagram:
         if missing:
             raise DiagramError(f"component cycles do not cover arcs {sorted(missing)}")
 
+    # -- arc indexes, built on first use ---------------------------------------
+
+    @property
+    def _head(self) -> dict[int, int]:
+        """The crossing each arc enters, under or over."""
+        head = self._head_map
+        if head is None:
+            head = {}
+            for i, (a, b, _, d, sign) in enumerate(self.crossings):
+                head[a] = head[d if sign > 0 else b] = i
+            self._head_map = head
+        return head
+
+    @property
+    def _arc_component(self) -> dict[int, int]:
+        """The component each arc lies on."""
+        comp = self._arc_component_map
+        if comp is None:
+            comp = {arc: ci for ci, cyc in enumerate(self.components) for arc in cyc}
+            self._arc_component_map = comp
+        return comp
+
+    def _numbering(self) -> dict[int, int]:
+        """Arcs numbered 1..N in traversal order: components in order, each from its base point."""
+        pos = self._pos
+        if pos is None:
+            pos = self._pos = {arc: n for n, arc in enumerate(chain.from_iterable(self.components), 1)}
+        return pos
+
     # -- elementary facts ---------------------------------------------------
 
     def arc_component(self, arc: int) -> int:
@@ -206,13 +250,29 @@ class LinkDiagram:
     # -- skein moves ---------------------------------------------------------
 
     def switch_crossing(self, i: int) -> "LinkDiagram":
-        """Same diagram with crossing i switched (arc structure is unchanged)."""
-        x = self.crossings[i].switched()
-        head = dict(self._head)
-        head[x.a] = (i, "u")
-        head[x.over_in] = (i, "o")
+        """Same diagram with crossing i switched (arc structure is unchanged).
+
+        The same arcs enter the same crossings, so the child shares its
+        parent's components, numbering and arc indexes.  Its key, when the
+        parent has one, is the parent's with crossing i's record replaced.
+        Switching the branch site makes it good and changes no other
+        crossing, so the child's bad crossings are then the parent's after
+        the first.
+        """
+        old = self.crossings[i]
+        x = old.switched()
         xs = self.crossings[:i] + (x,) + self.crossings[i + 1 :]
-        return object.__new__(LinkDiagram)._assemble(xs, self.components, head, self._arc_component)
+        pos = self._pos
+        child = object.__new__(LinkDiagram)._assemble(xs, self.components, self._head_map, self._arc_component_map, pos)
+        if self._bads and self._bads[0][1] == i:
+            child._bads = self._bads[1:]
+        if self._key is not None:
+            lens, sig = self._key
+            sig = list(sig)
+            del sig[bisect_left(sig, (pos[old.a], pos[old.b], pos[old.c], pos[old.d], old.sign))]
+            insort(sig, (pos[x.a], pos[x.b], pos[x.c], pos[x.d], x.sign))
+            child._key = (lens, tuple(sig))
+        return child
 
     def smooth_crossing(self, i: int) -> "LinkDiagram":
         """Oriented smoothing at crossing i: under-in joins over-out, over-in joins under-out.
@@ -257,50 +317,63 @@ class LinkDiagram:
         ren, touched = {}, set()
         if a != oo:
             ren[max(a, oo)] = m1
-            touched.add(head[oo][0] if a < oo else head[pred_a][0])
+            touched.add(head[oo] if a < oo else head[pred_a])
         if oi != c:
             ren[max(oi, c)] = m2
-            touched.add(head[c][0] if oi < c else head[pred_oi][0])
+            touched.add(head[c] if oi < c else head[pred_oi])
         xs = list(self.crossings)
         for j in touched:
             y = xs[j]
             xs[j] = Crossing(ren.get(y.a, y.a), ren.get(y.b, y.b), ren.get(y.c, y.c), ren.get(y.d, y.d), y.sign)
         del xs[i]
-        new_head = {arc: ((j, role) if j < i else (j - 1, role)) for arc, (j, role) in head.items() if j != i}
-        if a < oo:
-            new_head[a] = new_head.pop(oo)
-        if oi < c:
-            new_head[oi] = new_head.pop(c)
-        return object.__new__(LinkDiagram)._assemble(tuple(xs), tuple(comps), new_head)
+        return object.__new__(LinkDiagram)._assemble(tuple(xs), tuple(comps))
 
-    # -- descending walk ------------------------------------------------------
+    # -- numbering: branch site and canonical serialization ----------------------
+
+    def _scan(self, keyed: bool) -> list[tuple[int, int, int, int, int]]:
+        """Note the bad crossings; if keyed, also return every record renumbered.
+
+        The numbering is the walk's visiting order, so crossing i is met on
+        its under-strand before its over-strand exactly when its under-in arc
+        is numbered below its over-in arc.  The bad crossings are kept sorted
+        by that number, the walk's order.
+        """
+        pos = self._numbering()
+        recs, bads = [], []
+        for i, (a, b, c, d, sign) in enumerate(self.crossings):
+            pa = pos[a]
+            if pa < pos[d if sign > 0 else b]:
+                bads.append((pa, i))
+            if keyed:
+                recs.append((pa, pos[b], pos[c], pos[d], sign))
+        bads.sort()
+        self._bads = bads
+        return recs
 
     def first_bad_crossing(self) -> int | None:
-        """Index of the first crossing met on its under-strand before its over visit."""
-        seen: set[int] = set()
-        for cyc in self.components:
-            for arc in cyc:
-                hit = self._head.get(arc)
-                if hit is None:
-                    continue
-                ci, role = hit
-                if role == "o":
-                    seen.add(ci)
-                elif ci not in seen:
-                    return ci
-        return None
+        """Index of the first crossing met on its under-strand before its over visit.
 
-    # -- canonical serialization ----------------------------------------------
+        It is the bad crossing whose under-in arc is numbered lowest in the
+        numbering ``canonical_key`` uses, and the key's pass finds it; a
+        caller that needs no key gets that pass without the records.  A
+        switched child's comes from its parent's.  None on a descending
+        diagram.
+        """
+        if self._bads is None:
+            self._scan(False)
+        return self._bads[0][1] if self._bads else None
 
     def canonical_key(self):
-        """Arcs renumbered in traversal order from the base points, crossings sorted."""
+        """Arcs renumbered in traversal order from the base points, crossings sorted.
+
+        The pass that renumbers the records also finds the branch site.  A
+        switched child's key is its parent's sorted records with the switched
+        crossing's record replaced, not rebuilt.
+        """
         if self._key is None:
-            arcs = [arc for cyc in self.components for arc in cyc]
-            relabel = {arc: n for n, arc in enumerate(arcs, 1)}
-            sig = sorted(
-                (relabel[x.a], relabel[x.b], relabel[x.c], relabel[x.d], x.sign) for x in self.crossings
-            )
-            self._key = (tuple(len(c) for c in self.components), tuple(sig))
+            recs = self._scan(True)
+            recs.sort()
+            self._key = (tuple(map(len, self.components)), tuple(recs))
         return self._key
 
     # -- component extraction ---------------------------------------------------
@@ -353,19 +426,16 @@ def _weld(
     flat = {arc: find(arc) for arc in root}
     xs = []
     succ: dict[int, int] = {}
-    head: dict[int, tuple[int, str]] = {}
-    for ci, (a, b, c, d, sign) in enumerate(crossings):
+    for a, b, c, d, sign in crossings:
         a, b, c, d = flat.get(a, a), flat.get(b, b), flat.get(c, c), flat.get(d, d)
         xs.append(Crossing(a, b, c, d, sign))
         over_in, over_out = (d, b) if sign > 0 else (b, d)
         succ[a] = c
         succ[over_in] = over_out
-        head[a] = (ci, "u")
-        head[over_in] = (ci, "o")
     loose = ({flat.get(arc, arc) for arc in circles} | set(flat.values())) - succ.keys()
     comps = list(_cycles_of(succ)) + [(arc,) for arc in loose]
     comps.sort(key=min)
-    return object.__new__(LinkDiagram)._assemble(tuple(xs), tuple(comps), head)
+    return object.__new__(LinkDiagram)._assemble(tuple(xs), tuple(comps))
 
 
 def _cycles_of(succ: Mapping[int, int]) -> tuple[tuple[int, ...], ...]:
@@ -485,6 +555,10 @@ def _base_value(d: LinkDiagram) -> dict:
     return {0: 1} if len(d.components) == 1 else {}
 
 
+def _too_large(crossings: int) -> DiagramError:
+    return DiagramError(f"diagram too large for skein oracle: {crossings} crossings > limit {SKEIN_CROSSING_LIMIT}")
+
+
 def _over_budget(budget: int) -> DiagramError:
     return DiagramError(f"diagram too costly for skein oracle: more than {budget} skein nodes expanded")
 
@@ -507,8 +581,9 @@ def _evaluate_memo(root: LinkDiagram, memo: dict) -> dict:
             nodes += 1
             if nodes > budget:
                 raise _over_budget(budget)
-            sw = d.switch_crossing(bad)
+            # smoothing first builds the arc indexes the switched child shares
             sm = d.smooth_crossing(bad)
+            sw = d.switch_crossing(bad)
             stack.append(("join", (key, sw.canonical_key(), sm.canonical_key(), d.crossings[bad].sign)))
             stack.append(("eval", sw))
             stack.append(("eval", sm))
@@ -534,8 +609,9 @@ def _evaluate_plain(root: LinkDiagram) -> dict:
         nodes += 1
         if nodes > budget:
             raise _over_budget(budget)
+        sm = d.smooth_crossing(bad)
         stack.append((d.switch_crossing(bad), mult))
-        stack.append((d.smooth_crossing(bad), _shift_scale(mult, d.crossings[bad].sign)))
+        stack.append((sm, _shift_scale(mult, d.crossings[bad].sign)))
     return total
 
 
@@ -549,9 +625,8 @@ def conway_polynomial(d: LinkDiagram, *, use_memo: bool = True, memo: dict | Non
     one that expands more than ``SKEIN_NODE_BUDGET`` skein nodes, raises
     ``DiagramError``.
     """
-    n = len(d.crossings)
-    if n > SKEIN_CROSSING_LIMIT:
-        raise DiagramError(f"diagram too large for skein oracle: {n} crossings > limit {SKEIN_CROSSING_LIMIT}")
+    if len(d.crossings) > SKEIN_CROSSING_LIMIT:
+        raise _too_large(len(d.crossings))
     if use_memo:
         raw = _evaluate_memo(d, {} if memo is None else memo)
     else:

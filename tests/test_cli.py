@@ -548,6 +548,17 @@ class TestSkeinBudget:
         assert (code, out) == (2, "")
         assert err == "error: diagram too large for skein oracle: 41 crossings > limit 40\n"
 
+    @pytest.mark.parametrize("argv, strands", [(["--braid", "1", "--strands", "42"], 42), (["--braid", "45"], 46)])
+    def test_too_many_strands_is_one_line_exit_2(self, capsys, argv, strands):
+        # refused before the closure, which has a circle per unused strand, is built
+        code, out, err = run_cli(capsys, ["conway", *argv])
+        assert (code, out) == (2, "")
+        assert err == f"error: braid too wide for skein oracle: {strands} strands > limit 41\n"
+
+    def test_widest_braid_within_bound(self, capsys):
+        code, out, _ = run_cli(capsys, ["conway", "--braid", "1", "--strands", "41"])
+        assert (code, out) == (0, "nabla = 0\n")
+
     def test_budget_exceeded_is_one_line_exit_2(self, capsys, monkeypatch):
         monkeypatch.setattr(cosmo.links, "SKEIN_NODE_BUDGET", 5)
         code, out, err = run_cli(capsys, ["conway", "--braid", "1,1,1,1,1"])

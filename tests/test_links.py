@@ -585,6 +585,122 @@ class TestSmoothingSplice:
         assert loops > 50
 
 
+def walked_bad_crossing(d):
+    """Independent route to the branch site: walk every arc from the base points."""
+    head = {}
+    for i, x in enumerate(d.crossings):
+        head[x.a] = (i, "u")
+        head[x.over_in] = (i, "o")
+    seen = set()
+    for cyc in d.components:
+        for arc in cyc:
+            hit = head.get(arc)
+            if hit is None:
+                continue
+            i, role = hit
+            if role == "o":
+                seen.add(i)
+            elif i not in seen:
+                return i
+    return None
+
+
+def non_planar_codes(seed, count):
+    """Random pairings of in- and out-arcs the constructor accepts; most are not planar."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        ins, outs = rng.sample(range(1, 2 * n + 1), 2 * n), rng.sample(range(1, 2 * n + 1), 2 * n)
+        records = []
+        for j in range(n):
+            a, oi, c, oo = ins[2 * j], ins[2 * j + 1], outs[2 * j], outs[2 * j + 1]
+            records.append((a, oo, c, oi, 1) if rng.random() < 0.5 else (a, oi, c, oo, -1))
+        try:
+            yield LinkDiagram(records)
+        except DiagramError:
+            continue
+
+
+class TestBranchSite:
+    """The branch site read off the key's numbering is the one the arc walk finds."""
+
+    @staticmethod
+    def assert_switches_agree(d):
+        """Switch every crossing: the child's branch site and key match a fresh copy's."""
+        for i in range(len(d.crossings)):
+            child = d.switch_crossing(i)
+            # assembled without checks, since a non-planar code's child may not pass them
+            fresh = object.__new__(LinkDiagram)._assemble(child.crossings, child.components)
+            assert child.first_bad_crossing() == walked_bad_crossing(fresh) == fresh.first_bad_crossing()
+            assert child.canonical_key() == fresh.canonical_key()
+
+    def walk(self, root, switch_all=False):
+        """Compare the branch site at every node of the memoized skein tree of root.
+
+        Returns (expanded nodes, branch sites on a strand that loops straight back).
+        """
+        seen, stack, expanded, loops = set(), [root], 0, 0
+        while stack:
+            d = stack.pop()
+            key = d.canonical_key()
+            bad = d.first_bad_crossing()
+            assert bad == walked_bad_crossing(d)
+            if switch_all:
+                self.assert_switches_agree(d)
+            if key in seen or bad is None:
+                continue
+            seen.add(key)
+            expanded += 1
+            x = d.crossings[bad]
+            loops += x.a == x.c or x.over_in == x.over_out
+            stack += [d.switch_crossing(bad), d.smooth_crossing(bad)]
+        return expanded, loops
+
+    def test_braid_closures(self):
+        rng = random.Random(21)
+        expanded = 0
+        for k in range(150):
+            strands = rng.randint(2, 5)
+            word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(0, 10))]
+            expanded += self.walk(braid_closure(word, strands), switch_all=k < 40)[0]
+        assert expanded > 1400
+
+    def test_base_points_off_the_smallest_arc(self):
+        d = braid_closure([1, -2, 1, 2, -1, -2], 3)
+        moved = LinkDiagram(d.crossings, [cyc[2:] + cyc[:2] for cyc in reversed(d.components)])
+        assert moved.components[0][0] != min(moved.components[0])
+        self.walk(moved, switch_all=True)
+
+    def test_crossing_free_circles(self):
+        # unused strands close into circles; listed first, they are walked first
+        d = braid_closure([2, -2, 2, 4, -4], 6)
+        circles = [cyc for cyc in d.components if len(cyc) == 1]
+        assert len(circles) == 2
+        self.walk(d, switch_all=True)
+        self.walk(LinkDiagram(d.crossings, circles + [cyc for cyc in d.components if len(cyc) > 1]))
+        assert walked_bad_crossing(unlink_diagram(3)) is unlink_diagram(3).first_bad_crossing() is None
+
+    def test_non_planar_codes(self):
+        expanded = loops = 0
+        for d in non_planar_codes(5, 400):
+            e, lo = self.walk(d, switch_all=True)
+            expanded, loops = expanded + e, loops + lo
+        assert expanded > 500 and loops > 20
+
+    def test_expanded_nodes_pinned_on_a_braid_sample(self, monkeypatch):
+        # one switch_crossing call per expanded node; 2,811 is the total the
+        # arc walk's branch site expanded on this sample
+        calls = []
+        switch = LinkDiagram.switch_crossing
+        monkeypatch.setattr(LinkDiagram, "switch_crossing", lambda d, i: calls.append(i) or switch(d, i))
+        rng = random.Random(34)
+        for _ in range(200):
+            strands = rng.randint(2, 5)
+            word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(0, 12))]
+            conway_polynomial(braid_closure(word, strands))
+        assert len(calls) == 2811
+
+
 class TestSkeinBudget:
     def test_crossing_cap_is_fixed_at_40(self):
         assert links.SKEIN_CROSSING_LIMIT == 40
