@@ -312,6 +312,8 @@ def _load_matrix(seifert, opt):
     if opt.get("matrix"):
         with open(opt["matrix"], encoding="utf-8") as fh:
             m = seifert.parse_seifert_matrix(fh.read())
+        # the knot check is an elimination of size n, charged before it runs
+        seifert._check_tau_work(m.size, max(m.size, m.size * (opt["slope"].p - 1)))
         # tau is defined for knots, whose Seifert matrices have det(S - S^T) = 1
         e, n = m.entries, range(m.size)
         det = seifert._det([{j: e[i][j] - e[j][i] for j in n} for i in n])
@@ -366,6 +368,7 @@ def _selftest_checks():
         "trefoil Conway polynomial, both routes",
         lambda: links.conway_polynomial(links.torus2_diagram(3))
         == seifert.conway_from_seifert(seifert.seifert_torus2(3))
+        == seifert.conway_from_seifert(seifert.SeifertMatrix([[-10831, -7463], [-7464, -5143]]))
         == links.ConwayPoly({0: 1, 2: 1}),
     )
     yield (

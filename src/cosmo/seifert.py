@@ -1,13 +1,15 @@
 """Seifert-matrix invariants: Conway/Alexander data, signatures, surgery tau.
 
 Both exact routes run on one fraction-free integer elimination (Bareiss).
-The determinant route to the Conway polynomial evaluates det(y S - S^T) at
-y = 0..n, recovers its integer coefficients from forward differences, and
-rewrites det(x S - x^-1 S^T) in z = x - x^-1.  It is deliberately
-independent of the skein recursion in ``links`` so the two can check each
-other.  The total signature over the p-th roots of unity, which is all that
-surgery tau needs, is the signature of one symmetric integer matrix of size
-n(p-1), read off the signs of its pivots; no float is involved.
+The determinant route to the Conway polynomial evaluates det(y S - S^T) once,
+at a power of two y = 2^B wide enough that the integer coefficients are its
+balanced base-2^B digits (Kronecker substitution), and rewrites
+det(x S - x^-1 S^T) in z = x - x^-1.  It is deliberately independent of the
+skein recursion in ``links`` so the two can check each other.  The total
+signature over the p-th roots of unity, which is all that surgery tau needs,
+is the signature of one symmetric integer matrix of size n(p-1), read off the
+signs of its pivots; no float is involved.  ``TAU_WORK_BUDGET`` bounds that
+elimination before it runs.
 
 Signatures of the Hermitian form (1-w) S + (1-conj(w)) S^T at an arbitrary
 unit-modulus w come from cyclic Jacobi rotations on the complex matrix
@@ -23,10 +25,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .arith import Q, Slope, dedekind_sum_fast
-from .links import ConwayPoly
+
+if TYPE_CHECKING:
+    from .links import ConwayPoly
 
 __all__ = [
     "SeifertMatrix",
@@ -37,9 +41,20 @@ __all__ = [
     "total_p_signature",
     "casson_gordon_tau",
     "parse_seifert_matrix",
+    "TAU_WORK_BUDGET",
 ]
 
 _ZERO_TOL = 1e-9
+
+# Bounds the integer eliminations of one tau, checked before they run: N rows
+# on a Seifert matrix of size n are charged N (n + 1)^2, since each row meets
+# O(n) others over O(n) columns of the band and costs a little on its own.  At
+# the budget the (2, k) torus knots take at most about 1.3 s and 65 MB (the
+# trefoil at p = 55,556; CPython 3.11, one core of a 2-core x86-64 machine).
+# Pivots that grow with N, as they do when the Alexander polynomial has roots
+# off the unit circle, cost more.  The costliest tau the tests, scripts and
+# benchmark evaluate, the trefoil at p = 1002, is charged 18,018.
+TAU_WORK_BUDGET = 1_000_000
 
 
 class SeifertMatrix:
@@ -158,6 +173,16 @@ def _pivots(rows: list[dict[int, int]], symmetric: bool) -> list[int]:
     return pivots
 
 
+def _check_tau_work(n: int, rows: int) -> None:
+    """Refuse an elimination of ``rows`` rows on a size-n Seifert matrix past the budget."""
+    work = rows * (n + 1) ** 2
+    if work > TAU_WORK_BUDGET:
+        raise ValueError(
+            f"Seifert matrix too costly for tau: {rows} elimination rows at size {n} "
+            f"cost {work} > budget {TAU_WORK_BUDGET}"
+        )
+
+
 def _det(rows: list[dict[int, int]]) -> int:
     """Determinant of a square integer matrix of dense rows, consumed as by ``_pivots``."""
     pivots = [1] + _pivots(rows, symmetric=False)  # the empty matrix has determinant 1
@@ -193,23 +218,32 @@ def conway_from_seifert(s: SeifertMatrix) -> ConwayPoly:
     """Conway polynomial via det(x S - x^-1 S^T), rewritten in z = x - x^-1.
 
     det(x S - x^-1 S^T) = x^-n f(x^2) for f(y) = det(y S - S^T), of degree at
-    most n.  f is evaluated at y = 0..n by integer elimination; its k-th
-    forward difference at 0 is k! times the integer c_k in the Newton form
-    f(y) = sum_k c_k y (y - 1) ... (y - k + 1), expanded here by Horner.
+    most n, and f is evaluated once, at y = 2^B (Kronecker substitution).
+    Its coefficient c_k of y^k is a signed sum, over permutations sigma, of
+    products that take s_(i sigma(i)) or -s_(sigma(i) i) from each row i, so
+
+        |c_k| <= per(|S| + |S^T|) <= prod_i sum_j (|s_ij| + |s_ji|) = bound.
+
+    B = bound.bit_length() + 1 puts every c_k strictly inside +-2^(B-1), so
+    the c_k are the balanced base-2^B digits of f(2^B).  The elimination is
+    exact on any integer matrix, so nothing else is needed; a zero row and
+    column gives bound = 0 and f = 0.
     """
+    from .links import ConwayPoly  # here, so that tau alone loads neither links nor obstructions
+
     n = s.size
     if n == 0:
         return ConwayPoly.one()
     e = s.entries
-    values = [_det([{j: y * e[i][j] - e[j][i] for j in range(n)} for i in range(n)]) for y in range(n + 1)]
-    newton = []
-    for k in range(n + 1):
-        newton.append(values[0] // math.factorial(k))
-        values = [b - a for a, b in zip(values, values[1:])]
-    f = [0] * (n + 1)
-    for k in range(n, -1, -1):
-        f = [a - k * b for a, b in zip([0] + f, f)]
-        f[0] += newton[k]
+    bound = math.prod(sum(abs(e[i][j]) + abs(e[j][i]) for j in range(n)) for i in range(n))
+    shift = bound.bit_length() + 1
+    value = _det([{j: (e[i][j] << shift) - e[j][i] for j in range(n)} for i in range(n)])
+    half, mask = 1 << (shift - 1), (1 << shift) - 1
+    f = []
+    for _ in range(n + 1):
+        value += half
+        f.append((value & mask) - half)
+        value >>= shift
     return ConwayPoly(_laurent_to_z({2 * k - n: c for k, c in enumerate(f) if c}))
 
 
@@ -300,11 +334,13 @@ def total_p_signature(s: SeifertMatrix, p: int) -> int:
     over the p-th roots w into (1-w) S + (1-conj(w)) S^T, and dropping its
     last block row and column removes the radical of the w = 1 summand.
     The pivots are leading principal minors, so each sign change along
-    1, d_1, d_2, ... is one negative square (Jacobi).
+    1, d_1, d_2, ... is one negative square (Jacobi).  An elimination past
+    ``TAU_WORK_BUDGET`` raises ValueError before it starts.
     """
     if p < 1:
         raise ValueError(f"root count p must be a positive integer, got {p}")
     n, e = s.size, s.entries
+    _check_tau_work(n, n * (p - 1))
     blocks = (
         (-1, [[-e[j][i] for j in range(n)] for i in range(n)]),
         (0, [[e[i][j] + e[j][i] for j in range(n)] for i in range(n)]),

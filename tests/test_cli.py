@@ -513,11 +513,10 @@ class TestLoadedModules:
             ),
             # the diagram code reaches the pretzel closed form in obstructions
             (["conway", "--braid", "1,1,1"], "nabla = 1 + z^2\na0 = 1\na2 = 1\n", {"arith", "links", "obstructions"}),
-            # seifert reaches ConwayPoly in links
             (
                 ["tau", "--torus2", "3", "--slope", "5/1", "--format", "json"],
                 '{\n  "p": 5,\n  "q": 1,\n  "tau": "4/1"\n}\n',
-                {"arith", "links", "obstructions", "seifert"},
+                {"arith", "seifert"},
             ),
         ],
         ids=["dedekind", "lambda", "purely-bl", "purely-thm4", "purely-quad", "chirally-ihs", "chirally-family",
@@ -571,3 +570,36 @@ class TestSkeinBudget:
         code, out, _ = run_cli(capsys, ["conway", "--braid", "1,1,1,1,1", "--format", "json"])
         assert code == 0
         assert json.loads(out) == {"coefficients": {"0": 1, "2": 3, "4": 1}}
+
+
+class TestTauBudget:
+    # T(2, 21) has a Seifert matrix of size 20; p/q surgery is charged 20 (p - 1) 21^2
+    def test_last_slope_within_budget_answers(self, capsys):
+        code, out, err = run_cli(capsys, ["tau", "--torus2", "21", "--slope", "114/1"])
+        assert (code, out, err) == (0, "tau = -9074/3\n", "")
+
+    @pytest.mark.parametrize("p", [115, 10000])
+    def test_past_budget_is_one_line_exit_2(self, capsys, p):
+        code, out, err = run_cli(capsys, ["tau", "--torus2", "21", "--slope", f"{p}/1"])
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: Seifert matrix too costly for tau: {20 * (p - 1)} elimination rows at size 20 "
+            f"cost {20 * (p - 1) * 21**2} > budget 1000000\n"
+        )
+
+    @pytest.mark.parametrize(
+        "n, err",
+        [
+            (99, "error: not a knot Seifert matrix: det(S - S^T) = 0, expected 1\n"),
+            (
+                100,
+                "error: Seifert matrix too costly for tau: 100 elimination rows at size 100 "
+                "cost 1020100 > budget 1000000\n",
+            ),
+        ],
+    )
+    def test_knot_check_is_charged_before_it_runs(self, capsys, tmp_path, n, err):
+        # the knot check is an elimination of size n, charged n (n + 1)^2 even at p = 1
+        mat = tmp_path / "zero.mat"
+        mat.write_text(f"{n}\n" + f"{' '.join(['0'] * n)}\n" * n)
+        assert run_cli(capsys, ["tau", "--matrix", str(mat), "--slope", "1/1"]) == (2, "", err)

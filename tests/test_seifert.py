@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from cosmo.arith import Slope, dedekind_sum_fast
 from cosmo.links import ConwayPoly, conway_polynomial, torus2_diagram
 from cosmo.seifert import (
+    TAU_WORK_BUDGET,
     SeifertMatrix,
     alexander_second_derivative,
     casson_gordon_tau,
@@ -21,7 +22,7 @@ from cosmo.seifert import (
     seifert_torus2,
     total_p_signature,
 )
-from cosmo.seifert import _laurent_to_z
+from cosmo.seifert import _det, _laurent_to_z
 
 
 def hermitian_signature_2x2(s: SeifertMatrix, omega: complex) -> int:
@@ -61,6 +62,51 @@ def leibniz_laurent(s: SeifertMatrix) -> dict[int, int]:
         for e, c in terms.items():
             out[e] = out.get(e, 0) + c
     return {e: c for e, c in out.items() if c}
+
+
+def newton_conway(s: SeifertMatrix) -> ConwayPoly:
+    """The n+1-evaluation route: f(y) = det(y S - S^T) at y = 0..n, Newton form, Horner."""
+    n, e = s.size, s.entries
+    if n == 0:
+        return ConwayPoly.one()
+    values = [_det([{j: y * e[i][j] - e[j][i] for j in range(n)} for i in range(n)]) for y in range(n + 1)]
+    newton = []
+    for k in range(n + 1):
+        newton.append(values[0] // math.factorial(k))
+        values = [b - a for a, b in zip(values, values[1:])]
+    f = [0] * (n + 1)
+    for k in range(n, -1, -1):
+        f = [a - k * b for a, b in zip([0] + f, f)]
+        f[0] += newton[k]
+    return ConwayPoly(_laurent_to_z({2 * k - n: c for k, c in enumerate(f) if c}))
+
+
+def scrambled(rng: random.Random, s: SeifertMatrix, steps: int) -> SeifertMatrix:
+    """P S P^T for a random unimodular P, a product of elementary row operations."""
+    n = s.size
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((1, -1, 2, -3))
+        p[i] = [x + c * y for x, y in zip(p[i], p[j])]
+    e = s.entries
+    return SeifertMatrix(
+        [[sum(p[i][a] * e[a][b] * p[j][b] for a in range(n) for b in range(n)) for j in range(n)] for i in range(n)]
+    )
+
+
+def torus2_total_signature(n: int, p: int) -> int:
+    """Total p-signature of the (2, n) torus knot from its signature function.
+
+    At e^(2 pi i t), 0 <= t <= 1/2, the signature is -2 per root
+    (2j - 1)/(2n) < 1/2 of the Alexander polynomial below t, and -1 at a root.
+    """
+    roots = [Fraction(2 * j - 1, 2 * n) for j in range(1, (n + 1) // 2)]
+    total = 0
+    for k in range(p):
+        t = min(Fraction(k, p), 1 - Fraction(k, p))
+        total -= sum(2 if r < t else r == t for r in roots)
+    return total
 
 
 def z_to_laurent(poly: ConwayPoly) -> dict[int, int]:
@@ -206,6 +252,69 @@ class TestConwayRoute:
             assert z_to_laurent(conway_from_seifert(s)) == expected, s
         assert singular >= 15
         assert {s.size % 2 for s in cases} == {0, 1}
+
+    def test_matches_newton_route_on_seeded_wide_matrices(self):
+        rng = random.Random(20261101)
+        for n in range(1, 9):
+            for bound in (1, 9, 10**3, 10**6):
+                for _ in range(12):
+                    s = SeifertMatrix([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)])
+                    assert conway_from_seifert(s) == newton_conway(s), s
+
+    def test_matches_newton_route_on_degenerate_matrices(self):
+        rng = random.Random(20261102)
+        cases = []
+        for n in range(1, 9):
+            # a zero row and column at a random index
+            rows = [[rng.randint(-10**6, 10**6) for _ in range(n)] for _ in range(n)]
+            k = rng.randrange(n)
+            rows[k] = [0] * n
+            for row in rows:
+                row[k] = 0
+            cases.append(SeifertMatrix(rows))
+        singular = []
+        for n in range(2, 9):
+            # symmetric of rank 1 (u u^T) and of rank at most 2 (u v^T + v u^T)
+            u = [rng.randint(-1000, 1000) for _ in range(n)]
+            v = [rng.randint(-1000, 1000) for _ in range(n)]
+            singular.append(SeifertMatrix([[a * b for b in u] for a in u]))
+            if n > 2:
+                singular.append(SeifertMatrix([[a * d + b * c for c, d in zip(u, v)] for a, b in zip(u, v)]))
+        for s in cases + singular:
+            assert conway_from_seifert(s) == newton_conway(s), s
+        for s in singular:
+            # S = S^T gives det((x - x^-1) S) = z^n det S = 0
+            assert conway_from_seifert(s) == ConwayPoly.zero(), s
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_scalar_matrices_near_the_digit_bound(self, n):
+        # det(y cI - cI) = c^n (y - 1)^n: coefficients c^n C(n, k) of alternating
+        # sign, the middle one within a factor 4 of the bound (2c)^n
+        for c in (1, 2, 7, 10**6 - 1, 10**6):
+            for sign in (1, -1):
+                s = SeifertMatrix([[sign * c * (i == j) for j in range(n)] for i in range(n)])
+                poly = conway_from_seifert(s)
+                assert poly == newton_conway(s)
+                assert poly == ConwayPoly({n: (sign * c) ** n})
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_coefficient_at_the_digit_bound(self, k):
+        # k diagonal blocks [[0, c], [0, 0]]: det(y S - S^T) = (c^2 y)^k, whose
+        # one coefficient equals the bound c^(2k), so the digit needs B's extra bit
+        for c in (1, 2, 7, -1, -(10**6)):
+            n = 2 * k
+            s = SeifertMatrix([[c if j == i + 1 and i % 2 == 0 else 0 for j in range(n)] for i in range(n)])
+            poly = conway_from_seifert(s)
+            assert poly == newton_conway(s)
+            assert poly == ConwayPoly({0: c**n})
+
+    def test_scrambled_torus_matrices_match_skein(self):
+        rng = random.Random(20261103)
+        for n in (3, 5, 7, 9):
+            skein = conway_polynomial(torus2_diagram(n))
+            for _ in range(6):
+                s = scrambled(rng, seifert_torus2(n), rng.randint(n, 3 * n))
+                assert conway_from_seifert(s) == newton_conway(s) == skein, s
 
     def test_reduction_rejects_non_symmetric_laurent(self):
         with pytest.raises(ValueError, match="not a valid Seifert matrix"):
@@ -379,6 +488,25 @@ class TestSurgeryTau:
         diff = casson_gordon_tau(s, Slope(p, q1)) - casson_gordon_tau(s, Slope(p, q2))
         expected = 4 * p * (dedekind_sum_fast(q2, p) - dedekind_sum_fast(q1, p))
         assert diff == expected
+
+
+class TestTauBudget:
+    # T(2, 21) has a Seifert matrix of size 20, so p/q surgery runs an
+    # elimination of 20 (p - 1) rows, charged 20 (p - 1) 21^2
+    def test_last_slope_within_budget_answers(self):
+        assert 20 * 113 * 21**2 <= TAU_WORK_BUDGET < 20 * 114 * 21**2
+        assert total_p_signature(seifert_torus2(21), 114) == torus2_total_signature(21, 114)
+
+    @pytest.mark.parametrize("p", [115, 10000])
+    def test_past_budget_is_refused_before_elimination(self, p):
+        work = 20 * (p - 1) * 21**2
+        message = (
+            f"Seifert matrix too costly for tau: {20 * (p - 1)} elimination rows at size 20 "
+            f"cost {work} > budget {TAU_WORK_BUDGET}"
+        )
+        with pytest.raises(ValueError) as info:
+            casson_gordon_tau(seifert_torus2(21), Slope(p, 1))
+        assert str(info.value) == message
 
 
 class TestMatrixParsing:
