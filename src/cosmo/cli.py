@@ -321,7 +321,10 @@ def _load_matrix(seifert, opt):
             raise ValueError(f"not a knot Seifert matrix: det(S - S^T) = {det}, expected 1")
         return m
     if opt.get("torus2") is not None:
-        return seifert.seifert_torus2(opt["torus2"])
+        n = opt["torus2"]
+        if n >= 3 and n % 2:  # a valid size is charged before its dense matrix is built
+            seifert._check_tau_work(n - 1, (n - 1) * (opt["slope"].p - 1))
+        return seifert.seifert_torus2(n)
     return seifert.SeifertMatrix([])
 
 

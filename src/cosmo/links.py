@@ -17,19 +17,19 @@ Validation
 ----------
 A diagram is checked once, where it enters from outside.  The public
 ``LinkDiagram`` constructor checks signs, arc labels and component cycles,
-and rejects a strand whose one arc leaves a crossing and runs straight back
-into it (no planar diagram has one: the loop would cut the other strand's
-ends apart).  ``parse_pd``, ``pretzel_diagram`` and the unlink generators go
-through it, and ``parse_pd`` adds a planarity parity check.  Skein children,
-component sub-diagrams and braid closures (after their letters are checked)
-are built from data that is already consistent, so they are assembled
-without being checked again.  ``switch_crossing`` rewrites one record and
-shares everything else with its parent.  ``smooth_crossing`` splices the one
-or two cycles through the crossing and renames only the records that touch a
-joined arc; the result is the diagram ``_weld`` would build from the
-remaining crossings.  A child's arc indexes (the crossing each arc enters,
-the component each arc lies on) are built the first time they are read: a
-descending leaf, which ends its branch, never reads them.
+then that the code has a planar diagram at all: with each crossing's four
+positions read counterclockwise, n crossings whose graph has c connected
+pieces bound n + 2c faces exactly when drawn on the sphere (Euler).
+``parse_pd``, ``pretzel_diagram`` and the unlink generators go through it.
+A braid closure is drawn in the plane, and switching or smoothing a crossing
+or deleting a strand keeps a diagram planar, so braid closures (after their
+letters are checked), skein children and component sub-diagrams are
+assembled without being checked again.
+``switch_crossing`` rewrites one record and shares everything else with its
+parent.  ``smooth_crossing`` splices the one or two cycles through the
+crossing and renames only the records that touch a joined arc; the result is
+the diagram ``_weld`` would build from the remaining crossings.  A child's
+arc indexes are built when first read, so a descending leaf never builds them.
 
 Conway polynomial
 -----------------
@@ -63,7 +63,6 @@ the base point).  Blank lines and ``#`` comments are ignored.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import Counter
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -132,9 +131,9 @@ class Crossing(NamedTuple):
 class LinkDiagram:
     """An oriented link diagram: crossings plus ordered arc cycles.
 
-    The constructor validates its input and raises ``DiagramError`` on
-    malformed data.  Diagrams derived from a validated one (skein children,
-    component sub-diagrams) are assembled directly and not checked again.
+    The constructor validates its input, planarity included, and raises
+    ``DiagramError`` on failure.  Derived diagrams (skein children, component
+    sub-diagrams) are assembled directly and not checked again.
     """
 
     __slots__ = ("crossings", "components", "_head_map", "_arc_component_map", "_pos", "_key", "_bads")
@@ -149,6 +148,7 @@ class LinkDiagram:
             self._check_components(comps, succ)
         if not comps:
             raise DiagramError("a diagram needs at least one component")
+        self._check_planar()
         self._assemble(self.crossings, comps, head)
 
     def _assemble(self, crossings, components, head=None, arc_component=None, pos=None) -> "LinkDiagram":
@@ -178,9 +178,6 @@ class LinkDiagram:
             for arc in (x.a, x.b, x.c, x.d):
                 if not isinstance(arc, int) or arc < 1:
                     raise DiagramError(f"crossing {ci}: arc labels must be positive integers")
-            if x.a == x.c or x.b == x.d:
-                loop = x.a if x.a == x.c else x.b
-                raise DiagramError(f"crossing {ci}: arc {loop} leaves it and runs straight back in, which no planar diagram has")
             for arc in (x.a, x.over_in):
                 if arc in head:
                     raise DiagramError(f"arc {arc} enters two crossings")
@@ -212,6 +209,38 @@ class LinkDiagram:
         missing = succ.keys() - seen
         if missing:
             raise DiagramError(f"component cycles do not cover arcs {sorted(missing)}")
+
+    def _check_planar(self) -> None:
+        """Refuse a code with no planar diagram, by Euler's formula on its rotation system.
+
+        Dart 4i + j is position j of crossing i.  A face is an orbit of the
+        step to the other end of the dart's arc, then to the next position
+        counterclockwise.  A connected piece of k crossings has 2k edges, so
+        it bounds k + 2 faces on the sphere and fewer on any other surface.
+        """
+        n = len(self.crossings)
+        ends: dict[int, list[int]] = {}
+        for dart, arc in enumerate(chain.from_iterable(x[:4] for x in self.crossings)):
+            ends.setdefault(arc, []).append(dart)
+        step, root = [0] * (4 * n), list(range(n))  # root: union-find over crossings
+        for u, v in ends.values():
+            step[u], step[v] = v - v % 4 + (v + 1) % 4, u - u % 4 + (u + 1) % 4
+            u, v = u // 4, v // 4
+            while root[u] != u:
+                root[u] = u = root[root[u]]  # path halving: root[u] is set first
+            while root[v] != v:
+                root[v] = v = root[root[v]]
+            root[u] = v
+        pieces = sum(root[i] == i for i in range(n))
+        faces, seen = 0, bytearray(4 * n)
+        for dart in range(4 * n):
+            faces += not seen[dart]
+            while not seen[dart]:
+                seen[dart], dart = 1, step[dart]
+        if faces != n + 2 * pieces:
+            raise DiagramError(
+                f"not a planar diagram: {faces} faces, not the n + 2c = {n + 2 * pieces} of n crossings in c pieces"
+            )
 
     # -- arc indexes, built on first use ---------------------------------------
 
@@ -279,14 +308,11 @@ class LinkDiagram:
 
         Only the cycles through crossing i change, so the child is spliced
         from them; it equals what ``_weld`` builds from the remaining
-        crossings, each joined pair named by its smaller arc.
+        crossings, each joined pair named by its smaller arc.  The splice
+        needs a != c and over-in != over-out, which every planar diagram has.
         """
         a, b, c, d, sign = self.crossings[i]
         oi, oo = (d, b) if sign > 0 else (b, d)
-        if a == c or oi == oo:
-            # a strand that loops straight back, left by a non-planar parent
-            circles = [cyc[0] for cyc in self.components if len(cyc) == 1]
-            return _weld(self.crossings[:i] + self.crossings[i + 1 :], ((a, oo), (oi, c)), circles)
         m1, m2 = min(a, oo), min(oi, c)  # the names of the two joined arcs
         head = self._head
         comps = list(self.components)
@@ -410,8 +436,7 @@ def _weld(
     Each welded class is renamed to its smallest arc.  A welded class, or an
     arc in ``circles``, that no crossing touches becomes a crossing-free circle.
     Every cycle is read from its smallest arc, the cycles sorted by it.  It
-    closes braids, cuts out component sub-diagrams, and smooths a crossing
-    whose strand loops straight back, which only a non-planar parent leaves.
+    closes braids and cuts out component sub-diagrams.
     """
     root: dict[int, int] = {}
 
@@ -524,8 +549,7 @@ class ConwayPoly:
                 parts.append(("-" if c < 0 else "") + mono)
             else:
                 parts.append(f"{c}*{mono}")
-        out = " + ".join(parts).replace("+ -", "- ")
-        return out
+        return " + ".join(parts).replace("+ -", "- ")
 
     def __repr__(self) -> str:
         return f"ConwayPoly({self._coeffs!r})"
@@ -551,10 +575,6 @@ def _shift_scale(p: dict, sign: int) -> dict:
     return {e + 1: sign * c for e, c in p.items()}
 
 
-def _base_value(d: LinkDiagram) -> dict:
-    return {0: 1} if len(d.components) == 1 else {}
-
-
 def _too_large(crossings: int) -> DiagramError:
     return DiagramError(f"diagram too large for skein oracle: {crossings} crossings > limit {SKEIN_CROSSING_LIMIT}")
 
@@ -576,7 +596,7 @@ def _evaluate_memo(root: LinkDiagram, memo: dict) -> dict:
                 continue
             bad = d.first_bad_crossing()
             if bad is None:
-                memo[key] = _base_value(d)
+                memo[key] = {0: 1} if len(d.components) == 1 else {}
                 continue
             nodes += 1
             if nodes > budget:
@@ -631,11 +651,7 @@ def conway_polynomial(d: LinkDiagram, *, use_memo: bool = True, memo: dict | Non
         raw = _evaluate_memo(d, {} if memo is None else memo)
     else:
         raw = _evaluate_plain(d)
-    poly = ConwayPoly(raw)
-    # Holds for every planar diagram; a PD code with no planar diagram can break it.
-    if len(d.components) == 2 and poly.coefficient(1) != linking_number(d, 0, 1):
-        raise DiagramError("Conway z-coefficient disagrees with the linking number: the diagram is not planar")
-    return poly
+    return ConwayPoly(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -647,15 +663,7 @@ def linking_number(d: LinkDiagram, i: int, j: int) -> int:
     ncomp = len(d.components)
     if not (0 <= i < ncomp and 0 <= j < ncomp) or i == j:
         raise DiagramError(f"need two distinct component indices inside 0..{ncomp - 1}")
-    total = 0
-    for x in d.crossings:
-        cu = d.arc_component(x.a)
-        co = d.arc_component(x.over_in)
-        if {cu, co} == {i, j}:
-            total += x.sign
-    if total % 2:
-        raise DiagramError(f"not a planar diagram: components {i} and {j} cross an odd number of times")
-    return total // 2
+    return sum(x.sign for x in d.crossings if {d.arc_component(x.a), d.arc_component(x.over_in)} == {i, j}) // 2
 
 
 def invariants_from_diagram(d: LinkDiagram) -> LinkSurgeryInvariants:
@@ -841,14 +849,6 @@ def parse_pd(text: str) -> LinkDiagram:
         except ValueError as exc:
             raise DiagramError(f"line {lineno}: {exc}") from None
     try:
-        d = LinkDiagram(crossings, components or None)
+        return LinkDiagram(crossings, components or None)
     except DiagramError as exc:
         raise DiagramError(f"inconsistent diagram: {exc}") from None
-    # In a planar diagram two closed curves cross an even number of times.
-    between = Counter(
-        tuple(sorted((d.arc_component(x.a), d.arc_component(x.over_in)))) for x in d.crossings
-    )
-    for (i, j), count in sorted(between.items()):
-        if i != j and count % 2:
-            raise DiagramError(f"not a planar diagram: components {i} and {j} cross an odd number of times ({count})")
-    return d

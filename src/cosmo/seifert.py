@@ -335,11 +335,14 @@ def total_p_signature(s: SeifertMatrix, p: int) -> int:
     last block row and column removes the radical of the w = 1 summand.
     The pivots are leading principal minors, so each sign change along
     1, d_1, d_2, ... is one negative square (Jacobi).  An elimination past
-    ``TAU_WORK_BUDGET`` raises ValueError before it starts.
+    ``TAU_WORK_BUDGET`` raises ValueError before it starts.  The unknot
+    (n = 0) and p = 1 give a form of size 0, so nothing is built or charged.
     """
     if p < 1:
         raise ValueError(f"root count p must be a positive integer, got {p}")
     n, e = s.size, s.entries
+    if n == 0 or p == 1:
+        return 0
     _check_tau_work(n, n * (p - 1))
     blocks = (
         (-1, [[-e[j][i] for j in range(n)] for i in range(n)]),

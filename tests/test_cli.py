@@ -316,6 +316,7 @@ class TestExitCodes:
         [
             "X 1,3,2,3 +\nX 2,4,1,4 -\n",  # one-arc components each crossing (1,2) once
             "X 1,2,1,2 +\nC 1\nC 2\n",  # two circles crossing once
+            "X 4,3,2,1 -\nX 2,4,3,1 +\nC 1,4,2,3\n",  # a knot on the torus, not the sphere
         ],
     )
     def test_non_planar_pd_is_exit_2(self, capsys, tmp_path, pd_text):
@@ -574,6 +575,26 @@ class TestSkeinBudget:
 
 class TestTauBudget:
     # T(2, 21) has a Seifert matrix of size 20; p/q surgery is charged 20 (p - 1) 21^2
+    def test_unknot_at_a_41_digit_slope_answers_at_once(self, capsys):
+        # the unknot's form is empty whatever p is, so nothing is built or charged
+        from cosmo.seifert import SeifertMatrix, total_p_signature
+
+        p = 10**40 + 1
+        assert total_p_signature(SeifertMatrix([]), p) == 0
+        code, out, err = run_cli(capsys, ["tau", "--unknot", "--slope", f"{p}/3"])
+        assert (code, out, err) == (0, f"tau = {-4 * p * dedekind_sum_fast(3, p)}\n", "")
+
+    def test_catalog_size_is_charged_before_its_matrix_is_built(self, capsys, monkeypatch):
+        import cosmo.seifert
+
+        monkeypatch.setattr(cosmo.seifert, "seifert_torus2", lambda n: pytest.fail(f"built T(2, {n})"))
+        code, out, err = run_cli(capsys, ["tau", "--torus2", "4001", "--slope", "2/1"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: Seifert matrix too costly for tau: 4000 elimination rows at size 4000 "
+            f"cost {4000 * 4001**2} > budget 1000000\n"
+        )
+
     def test_last_slope_within_budget_answers(self, capsys):
         code, out, err = run_cli(capsys, ["tau", "--torus2", "21", "--slope", "114/1"])
         assert (code, out, err) == (0, "tau = -9074/3\n", "")

@@ -313,15 +313,18 @@ class TestDiagramValidation:
         ],
     )
     def test_self_loop_strand_rejected(self, records, arc):
+        # a strand that runs straight back into its crossing cuts the other
+        # strand's ends apart, so the code bounds too few faces
         with pytest.raises(DiagramError) as exc:
             LinkDiagram(records)
-        assert str(exc.value) == f"crossing 0: arc {arc} leaves it and runs straight back in, which no planar diagram has"
+        faces = {1: "1 faces, not the n + 2c = 5", 3: "2 faces, not the n + 2c = 4"}[arc]
+        assert str(exc.value) == f"not a planar diagram: {faces} of n crossings in c pieces"
 
     def test_self_loop_rejected_when_read(self):
         with pytest.raises(DiagramError) as exc:
             parse_pd("X 1,2,1,3 +\nX 2,5,7,4 +\nX 7,4,3,5 +\n")
         assert str(exc.value) == (
-            "inconsistent diagram: crossing 0: arc 1 leaves it and runs straight back in, which no planar diagram has"
+            "inconsistent diagram: not a planar diagram: 1 faces, not the n + 2c = 5 of n crossings in c pieces"
         )
 
     def test_linking_number_needs_distinct_components(self):
@@ -562,27 +565,16 @@ class TestSmoothingSplice:
         moved = LinkDiagram(d.crossings, [cyc[1:] + cyc[:1] for cyc in reversed(d.components)])
         self.walk(moved)
 
-    def test_non_planar_codes(self):
-        # random pairings of in- and out-arcs are mostly not planar; their
-        # smoothings can leave a strand that loops straight back
+    def test_random_planar_codes(self):
+        # planar codes that no braid produces, smoothed down at random crossings
         rng = random.Random(5)
-        loops = 0
-        for _ in range(400):
-            n = rng.randint(1, 6)
-            ins, outs = rng.sample(range(1, 2 * n + 1), 2 * n), rng.sample(range(1, 2 * n + 1), 2 * n)
-            records = []
-            for j in range(n):
-                a, oi, c, oo = ins[2 * j], ins[2 * j + 1], outs[2 * j], outs[2 * j + 1]
-                records.append((a, oo, c, oi, 1) if rng.random() < 0.5 else (a, oi, c, oo, -1))
-            try:
-                d = LinkDiagram(records)
-            except DiagramError:
-                continue
+        smoothed = 0
+        for d in random_planar_codes(5, 3000):
             while d.crossings:
                 self.assert_smoothings_weld(d)
-                loops += any(x.a == x.c or x.over_in == x.over_out for x in d.crossings)
+                smoothed += len(d.crossings)
                 d = d.smooth_crossing(rng.randrange(len(d.crossings)))
-        assert loops > 50
+        assert smoothed > 1000
 
 
 def walked_bad_crossing(d):
@@ -605,8 +597,8 @@ def walked_bad_crossing(d):
     return None
 
 
-def non_planar_codes(seed, count):
-    """Random pairings of in- and out-arcs the constructor accepts; most are not planar."""
+def random_codes(seed, count):
+    """Random pairings of in- and out-arcs: consistent crossing records, mostly not planar."""
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(1, 6)
@@ -615,10 +607,76 @@ def non_planar_codes(seed, count):
         for j in range(n):
             a, oi, c, oo = ins[2 * j], ins[2 * j + 1], outs[2 * j], outs[2 * j + 1]
             records.append((a, oo, c, oi, 1) if rng.random() < 0.5 else (a, oi, c, oo, -1))
+        yield records
+
+
+def random_planar_codes(seed, count):
+    """The random codes the constructor accepts: exactly the planar ones."""
+    for records in random_codes(seed, count):
         try:
             yield LinkDiagram(records)
         except DiagramError:
             continue
+
+
+class TestPlanarity:
+    """The constructor's face count refuses exactly the codes with no planar diagram."""
+
+    @classmethod
+    def welded_conway(cls, d):
+        """nabla by plain skein recursion on welded smoothings, which take a non-planar code too."""
+        bad = d.first_bad_crossing()
+        if bad is None:
+            return {0: 1} if len(d.components) == 1 else {}
+        value = cls.welded_conway(d.switch_crossing(bad))
+        for e, c in cls.welded_conway(welded_smoothing(d, bad)).items():
+            value[e + 1] = value.get(e + 1, 0) + d.crossings[bad].sign * c
+        return value
+
+    def test_seeded_random_codes(self, monkeypatch):
+        # the checks the face count replaced, run on the codes built without it:
+        # a strand that runs straight back into its crossing, two components
+        # crossing an odd number of times, a Conway z-coefficient other than lk
+        looped = accepted = refused = old_refused = 0
+        for records in random_codes(1, 3000):
+            try:
+                LinkDiagram(records)
+                planar = True
+            except DiagramError as exc:
+                assert str(exc).startswith("not a planar diagram: ")
+                planar = False
+            if any(a == c or b == d for a, b, c, d, _ in records):
+                looped += 1
+                assert not planar
+                continue
+            accepted += 1
+            refused += not planar
+            with monkeypatch.context() as m:
+                m.setattr(LinkDiagram, "_check_planar", lambda self: None)
+                d = LinkDiagram(records)
+            between = [{d.arc_component(x.a), d.arc_component(x.over_in)} for x in d.crossings]
+            odd = any(len(pair) == 2 and between.count(pair) % 2 for pair in between)
+            if not odd and len(d.components) == 2:
+                odd = self.welded_conway(d).get(1, 0) != linking_number(d, 0, 1)
+            old_refused += odd
+            assert not (planar and odd)
+        assert (looped, accepted, refused, old_refused) == (1801, 1199, 679, 346)
+
+    def test_planar_families_and_their_children_pass(self):
+        rng = random.Random(16)
+        roots = [pretzel_diagram(a, b) for a in range(1, 7) for b in range(-6, 7) if b]
+        for _ in range(300):
+            strands = rng.randint(2, 6)
+            word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(0, 14))]
+            roots.append(braid_closure(word, strands))
+        checked = 0
+        for d in roots:
+            for i in range(len(d.crossings)):
+                for child in (d.switch_crossing(i), d.smooth_crossing(i)):
+                    LinkDiagram(child.crossings, child.components)
+                    checked += 1
+            LinkDiagram(d.crossings, d.components)
+        assert checked > 7000
 
 
 class TestBranchSite:
@@ -629,17 +687,13 @@ class TestBranchSite:
         """Switch every crossing: the child's branch site and key match a fresh copy's."""
         for i in range(len(d.crossings)):
             child = d.switch_crossing(i)
-            # assembled without checks, since a non-planar code's child may not pass them
-            fresh = object.__new__(LinkDiagram)._assemble(child.crossings, child.components)
+            fresh = LinkDiagram(child.crossings, child.components)
             assert child.first_bad_crossing() == walked_bad_crossing(fresh) == fresh.first_bad_crossing()
             assert child.canonical_key() == fresh.canonical_key()
 
     def walk(self, root, switch_all=False):
-        """Compare the branch site at every node of the memoized skein tree of root.
-
-        Returns (expanded nodes, branch sites on a strand that loops straight back).
-        """
-        seen, stack, expanded, loops = set(), [root], 0, 0
+        """Compare the branch site at every node of the memoized skein tree of root; return the nodes expanded."""
+        seen, stack, expanded = set(), [root], 0
         while stack:
             d = stack.pop()
             key = d.canonical_key()
@@ -651,10 +705,8 @@ class TestBranchSite:
                 continue
             seen.add(key)
             expanded += 1
-            x = d.crossings[bad]
-            loops += x.a == x.c or x.over_in == x.over_out
             stack += [d.switch_crossing(bad), d.smooth_crossing(bad)]
-        return expanded, loops
+        return expanded
 
     def test_braid_closures(self):
         rng = random.Random(21)
@@ -662,7 +714,7 @@ class TestBranchSite:
         for k in range(150):
             strands = rng.randint(2, 5)
             word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(0, 10))]
-            expanded += self.walk(braid_closure(word, strands), switch_all=k < 40)[0]
+            expanded += self.walk(braid_closure(word, strands), switch_all=k < 40)
         assert expanded > 1400
 
     def test_base_points_off_the_smallest_arc(self):
@@ -680,12 +732,8 @@ class TestBranchSite:
         self.walk(LinkDiagram(d.crossings, circles + [cyc for cyc in d.components if len(cyc) > 1]))
         assert walked_bad_crossing(unlink_diagram(3)) is unlink_diagram(3).first_bad_crossing() is None
 
-    def test_non_planar_codes(self):
-        expanded = loops = 0
-        for d in non_planar_codes(5, 400):
-            e, lo = self.walk(d, switch_all=True)
-            expanded, loops = expanded + e, loops + lo
-        assert expanded > 500 and loops > 20
+    def test_random_planar_codes(self):
+        assert sum(self.walk(d, switch_all=True) for d in random_planar_codes(5, 3000)) > 500
 
     def test_expanded_nodes_pinned_on_a_braid_sample(self, monkeypatch):
         # one switch_crossing call per expanded node; 2,811 is the total the
