@@ -124,27 +124,31 @@ def dedekind_sum_naive(p: int, q: int) -> Fraction:
 
 
 def _twelve_s(p: int, q: int) -> tuple[int, int]:
-    """12 s(p, q) = num/den as an unreduced integer pair (num, den), den > 0.
+    """12 s(p, q) = num/|q| as an integer pair (num, |q|).
 
-    Uses 12 s(h, k) = (h^2 + k^2 + 1 - 3 h k)/(h k) - 12 s(k mod h, h) for
-    coprime 0 < h < k, unwinding like the Euclidean algorithm.  Evenness in
-    the modulus sign and periodicity in the first argument are applied first.
+    With k = |q| > 1, h = p mod k, h/k = [0; a1, ..., an] and h h* = 1
+    (mod k), Hickerson's continued-fraction form (1977) reads
+
+        12 s(h, k) = a1 - a2 + ... + (-1)^(n+1) an + (h + h*)/k - (3 if n is odd else 1).
+
+    Evenness in the modulus sign and periodicity in the first argument are
+    applied first, and every integer in the Euclidean steps is at most k.
     """
     _require_coprime(p, q)
     k = abs(q)
-    h = p % k  # reduces to 0 <= h < k; oddness is recovered through the recursion
-    num, den, sign = 0, 1, 1
-    while k > 1:
-        hk = h * k
-        num = num * hk + sign * (h * h + k * k + 1 - 3 * hk) * den
-        den *= hk
-        sign = -sign
-        h, k = k % h, h
-    return num, den
+    if k == 1:
+        return 0, 1
+    h = p % k
+    alt, odd, a, b = 0, False, k, h  # alt = an - ... + (-1)^(n+1) a1
+    while b:
+        alt, a, b = a // b - alt, b, a % b
+        odd = not odd
+    return (k * (alt - 3) if odd else -k * (alt + 1)) + h + pow(h, -1, k), k
 
 
 def dedekind_sum_fast(p: int, q: int) -> Fraction:
-    """s(p, q) via the reciprocity recursion, O(log |q|) exact integer steps.
+    """s(p, q) from the continued fraction of p/q: O(log |q|) divisions of
+    integers no larger than |q|.
 
     6 q s(p, q) is an integer (Rademacher-Grosswald, *Dedekind Sums*, ch. 3),
     which the surgery formula relies on.

@@ -130,8 +130,7 @@ def casson_walker_link_surgery(
     dn = px * py - lk2 * qx * qy
     sigma = _signature(dn, px * qy + py * qx)  # det and trace times qx qy > 0
     v3_24 = 12 * (-inv.a3 + (inv.a2_x + inv.a2_y) * lk) + lk * lk2 - lk  # 24 v3, as in arith.v3
-    (nx, dx), (ny, dy) = _twelve_s(px, qx), _twelve_s(py, qy)  # S(p/q) = n/d
-    qs_x, qs_y = qx * nx // dx, qy * ny // dy
+    (qs_x, _), (qs_y, _) = _twelve_s(px, qx), _twelve_s(py, qy)  # q S(p/q), as q > 0
     n = (
         24 * inv.a2_x * py * qy * qx2  # a2_x py/qy
         - py * qy * qx2  # - py/(24 qy)
@@ -155,12 +154,12 @@ def casson_boyer_lines(lambda_sigma: Fraction, delta2: int, s: Slope) -> Fractio
 
     ambient + (q/p) * delta2 / 2 - sign(p)/2 * s(q, p), all exact; delta2 is
     the second derivative of the symmetric Alexander polynomial at 1.  With
-    12 s(q, p) = n/d the last two terms are (12 q delta2 d - |p| n)/(24 p d).
+    12 s(q, p) = n/|p| the last two terms are (12 q delta2 - n)/(24 p).
     """
     if s.p == 0:
         raise ValueError("surgery coefficient 0 does not give a rational homology sphere here")
-    n, d = _twelve_s(s.q, s.p)
-    return Q(lambda_sigma) + Fraction(12 * s.q * delta2 * d - abs(s.p) * n, 24 * s.p * d)
+    n, _ = _twelve_s(s.q, s.p)
+    return Q(lambda_sigma) + Fraction(12 * s.q * delta2 - n, 24 * s.p)
 
 
 def lambda_w_from_lambda(lam: Fraction) -> Fraction:

@@ -180,13 +180,24 @@ def parse_args(argv: list[str] | None = None) -> Command:
 # serialization
 
 
+def _frac_text(v, full: bool) -> str:
+    # the inputs were read under Python's limit on int-to-text conversion, but
+    # an exact value can have many more digits than they: lift it for this
+    # conversion only
+    f, limit = Fraction(v), sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return f"{f.numerator}/{f.denominator}" if full else str(f)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _frac_full(v) -> str:
-    f = Fraction(v)
-    return f"{f.numerator}/{f.denominator}"
+    return _frac_text(v, True)
 
 
 def _frac_short(v) -> str:
-    return str(Fraction(v))
+    return _frac_text(v, False)
 
 
 def _result_type(obj) -> str:

@@ -33,23 +33,25 @@ arc indexes are built when first read, so a descending leaf never builds them.
 
 Conway polynomial
 -----------------
-``conway_polynomial`` resolves a diagram by walking the components in listed
-order from their base points.  A crossing met on its under-strand before its
-over-strand is bad, and the first bad crossing met is the branch site: it
-gets switched in one child and replaced by the oriented smoothing in the
-other, and nabla(D) = nabla(switched) + sign * z * nabla(smoothed).  Fully
-descending diagrams are stacked unknots: value 1 for one component, 0 for
-two or more.  Results are memoized on a canonical serialization of the
-diagram: arcs renumbered 1..N in traversal order from the base points, then
-the crossings sorted.  Equal keys mean the same diagram up to arc names, and
-the memoized polynomial is a link invariant.  That numbering is the walk's
-visiting order, so a crossing is bad exactly when its under-in arc is
-numbered below its over-in arc, and the branch site is the bad crossing
-whose under-in arc is numbered lowest; the pass that builds the key finds
-it, and nothing walks the arcs.  A switched child has its parent's arcs and
-numbering, so its key and its bad crossings are its parent's with one
-record replaced.  Shared memo tables only ever see atomic dict get/set, so
-concurrent readers are safe.  One call takes a diagram of at most
+``conway_polynomial`` resolves a diagram by one memoized recursion that
+walks the components in listed order from their base points.  A crossing met
+on its under-strand before its over-strand is bad, and the first bad crossing
+met is the branch site: it gets switched in one child and replaced by the
+oriented smoothing in the other, and nabla(D) = nabla(switched) + sign * z *
+nabla(smoothed).  Fully descending diagrams are stacked unknots: value 1 for
+one component, 0 for two or more.  Results are memoized on a canonical
+serialization of the diagram: arcs renumbered 1..N in traversal order from the
+base points, then the crossings sorted.  Equal keys mean the same diagram up to
+arc names, and the memoized polynomial is a link invariant.  That numbering is
+the walk's visiting order, so a crossing is bad exactly when its under-in arc
+is numbered below its over-in arc, and the branch site is the bad crossing
+whose under-in arc is numbered lowest; the pass that builds the key finds it,
+and nothing walks the arcs.  A switched child has its parent's arcs and
+numbering, so its key and its bad crossings are its parent's with one record
+replaced.  Each switch on a path removes a bad crossing and each smoothing a
+crossing, so the recursion is at most (n + 1)(n + 2)/2 calls deep on n
+crossings.  Shared memo tables only ever see atomic dict lookups and stores,
+so concurrent readers are safe.  One call takes a diagram of at most
 ``SKEIN_CROSSING_LIMIT`` crossings and expands at most ``SKEIN_NODE_BUDGET``
 skein nodes; past either it raises ``DiagramError``.
 
@@ -356,8 +358,8 @@ class LinkDiagram:
 
     # -- numbering: branch site and canonical serialization ----------------------
 
-    def _scan(self, keyed: bool) -> list[tuple[int, int, int, int, int]]:
-        """Note the bad crossings; if keyed, also return every record renumbered.
+    def _scan(self) -> list[tuple[int, int, int, int, int]]:
+        """Return every record renumbered, and note the bad crossings.
 
         The numbering is the walk's visiting order, so crossing i is met on
         its under-strand before its over-strand exactly when its under-in arc
@@ -370,8 +372,7 @@ class LinkDiagram:
             pa = pos[a]
             if pa < pos[d if sign > 0 else b]:
                 bads.append((pa, i))
-            if keyed:
-                recs.append((pa, pos[b], pos[c], pos[d], sign))
+            recs.append((pa, pos[b], pos[c], pos[d], sign))
         bads.sort()
         self._bads = bads
         return recs
@@ -380,13 +381,12 @@ class LinkDiagram:
         """Index of the first crossing met on its under-strand before its over visit.
 
         It is the bad crossing whose under-in arc is numbered lowest in the
-        numbering ``canonical_key`` uses, and the key's pass finds it; a
-        caller that needs no key gets that pass without the records.  A
-        switched child's comes from its parent's.  None on a descending
-        diagram.
+        numbering ``canonical_key`` uses, and the key's pass finds it; the
+        skein recursion keys every node before it asks.  A switched child's
+        comes from its parent's.  None on a descending diagram.
         """
         if self._bads is None:
-            self._scan(False)
+            self._scan()
         return self._bads[0][1] if self._bads else None
 
     def canonical_key(self):
@@ -397,7 +397,7 @@ class LinkDiagram:
         crossing's record replaced, not rebuilt.
         """
         if self._key is None:
-            recs = self._scan(True)
+            recs = self._scan()
             recs.sort()
             self._key = (tuple(map(len, self.components)), tuple(recs))
         return self._key
@@ -419,10 +419,7 @@ class LinkDiagram:
                 pairs.append((x.a, x.c))
             elif over:
                 pairs.append((x.over_in, x.over_out))
-        sub = _weld(kept, pairs, mine)
-        if len(sub.components) != 1:
-            raise DiagramError("component extraction produced a disconnected strand")
-        return sub
+        return _weld(kept, pairs, mine)
 
     def __repr__(self) -> str:
         return f"LinkDiagram({len(self.crossings)} crossings, {len(self.components)} components)"
@@ -583,75 +580,42 @@ def _over_budget(budget: int) -> DiagramError:
     return DiagramError(f"diagram too costly for skein oracle: more than {budget} skein nodes expanded")
 
 
-def _evaluate_memo(root: LinkDiagram, memo: dict) -> dict:
-    budget = SKEIN_NODE_BUDGET
-    nodes = 0
-    stack: list[tuple[str, object]] = [("eval", root)]
-    while stack:
-        tag, payload = stack.pop()
-        if tag == "eval":
-            d = payload
-            key = d.canonical_key()
-            if key in memo:
-                continue
-            bad = d.first_bad_crossing()
-            if bad is None:
-                memo[key] = {0: 1} if len(d.components) == 1 else {}
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise _over_budget(budget)
-            # smoothing first builds the arc indexes the switched child shares
-            sm = d.smooth_crossing(bad)
-            sw = d.switch_crossing(bad)
-            stack.append(("join", (key, sw.canonical_key(), sm.canonical_key(), d.crossings[bad].sign)))
-            stack.append(("eval", sw))
-            stack.append(("eval", sm))
-        else:
-            key, kw, km, sign = payload
-            if key not in memo:
-                memo[key] = _add(memo[kw], _shift_scale(memo[km], sign))
-    return memo[root.canonical_key()]
+# One frame per node on a root-to-leaf path.  Switching the branch site removes
+# one bad crossing and smoothing removes one crossing, so at k crossings a path
+# makes at most k switches before it smooths: at most (n + 1)(n + 2)/2 frames,
+# 861 at the 40-crossing cap, under Python's default recursion limit of 1000.
+# A module function, not a closure: a closure that calls itself is a reference
+# cycle, which would keep each call's memo table until the collector ran.
+def _resolve(d: LinkDiagram, memo: dict, expanded: list[int]) -> dict:
+    """nabla(d) as {exponent: coefficient}; expanded[0] counts the call's expanded nodes."""
+    key = d.canonical_key()
+    if key in memo:  # a membership test, so a counting table sees the hit
+        return memo[key]
+    bad = d.first_bad_crossing()
+    if bad is None:
+        value = {0: 1} if len(d.components) == 1 else {}
+    else:
+        expanded[0] += 1
+        if expanded[0] > SKEIN_NODE_BUDGET:
+            raise _over_budget(SKEIN_NODE_BUDGET)
+        # smoothing first builds the arc indexes the switched child shares
+        smoothed = _shift_scale(_resolve(d.smooth_crossing(bad), memo, expanded), d.crossings[bad].sign)
+        value = _add(_resolve(d.switch_crossing(bad), memo, expanded), smoothed)
+    memo[key] = value
+    return value
 
 
-def _evaluate_plain(root: LinkDiagram) -> dict:
-    budget = SKEIN_NODE_BUDGET
-    nodes = 0
-    total: dict = {}
-    stack: list[tuple[LinkDiagram, dict]] = [(root, {0: 1})]
-    while stack:
-        d, mult = stack.pop()
-        bad = d.first_bad_crossing()
-        if bad is None:
-            if len(d.components) == 1:
-                total = _add(total, mult)
-            continue
-        nodes += 1
-        if nodes > budget:
-            raise _over_budget(budget)
-        sm = d.smooth_crossing(bad)
-        stack.append((d.switch_crossing(bad), mult))
-        stack.append((sm, _shift_scale(mult, d.crossings[bad].sign)))
-    return total
-
-
-def conway_polynomial(d: LinkDiagram, *, use_memo: bool = True, memo: dict | None = None) -> ConwayPoly:
-    """Conway polynomial of the diagram by descending-diagram skein recursion.
+def conway_polynomial(d: LinkDiagram, *, memo: dict | None = None) -> ConwayPoly:
+    """Conway polynomial of the diagram by one memoized descending-diagram skein recursion.
 
     ``memo`` may be supplied to share work across calls; by default each call
-    uses a fresh table.  ``use_memo=False`` re-derives every subdiagram, which
-    exists so the memoized path can be checked against an independent one.
-    Either way, a diagram of more than ``SKEIN_CROSSING_LIMIT`` crossings, or
-    one that expands more than ``SKEIN_NODE_BUDGET`` skein nodes, raises
-    ``DiagramError``.
+    uses a fresh table.  A diagram of more than ``SKEIN_CROSSING_LIMIT``
+    crossings, or one that expands more than ``SKEIN_NODE_BUDGET`` skein
+    nodes, raises ``DiagramError``.
     """
     if len(d.crossings) > SKEIN_CROSSING_LIMIT:
         raise _too_large(len(d.crossings))
-    if use_memo:
-        raw = _evaluate_memo(d, {} if memo is None else memo)
-    else:
-        raw = _evaluate_plain(d)
-    return ConwayPoly(raw)
+    return ConwayPoly(_resolve(d, {} if memo is None else memo, [0]))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cosmo.arith import (
     Slope,
+    _twelve_s,
     dedekind_sum_fast,
     dedekind_sum_naive,
     dedekind_symbol,
@@ -114,6 +115,16 @@ class TestDedekindSum:
             p, q = rng.randint(-10**6, 10**6), rng.choice([-1, 1]) * rng.randint(1, 2000)
             if math.gcd(p, q) == 1:
                 assert dedekind_sum_fast(p, q) == dedekind_sum_naive(p, q), (p, q)
+                checked += 1
+
+    def test_twelve_s_pair_has_the_modulus_as_denominator(self):
+        # the surgery formulas read 12 |q| s(p, q) off the pair as an integer
+        rng = random.Random(20261020)
+        checked = 0
+        while checked < 500:
+            p, q = rng.randint(-10**6, 10**6), rng.choice([-1, 1]) * rng.randint(1, 2000)
+            if math.gcd(p, q) == 1:
+                assert _twelve_s(p, q) == (12 * abs(q) * dedekind_sum_naive(p, q), abs(q)), (p, q)
                 checked += 1
 
     def test_six_q_times_sum_is_integer(self):

@@ -24,11 +24,11 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
-def fresh_python(args):
+def fresh_python(args, timeout=60):
     """Run a new ``python -S`` on this checkout's package; -S keeps
     site-packages .pth files from adding modules of their own."""
     env = {**os.environ, "PYTHONPATH": str(Path(cosmo.__file__).resolve().parent.parent)}
-    return subprocess.run([sys.executable, "-S", *args], env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-S", *args], env=env, capture_output=True, text=True, timeout=timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +181,17 @@ class TestCommands:
         _, out, _ = run_cli(capsys, ["dedekind", "--p", "1", "--q", "-5", "--format", "json"])
         payload = json.loads(out)
         assert payload["sum"] == "1/5" and payload["symbol"] == "-12/5"
+
+    def test_dedekind_at_a_thousand_digits_answers_at_once(self):
+        # every Euclidean step works on integers no larger than the modulus
+        h, k = 2**3321, 3**2095
+        assert len(str(h)) == len(str(k)) == 1000
+        out = fresh_python(["-m", "cosmo.cli", "dedekind", "--p", str(h), "--q", str(k)], timeout=20)
+        assert (out.returncode, out.stderr) == (0, "")
+        head, value = out.stdout.split(" = ")
+        assert head == f"s({h},{k})"
+        reciprocity = Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4)
+        assert Fraction(value) + dedekind_sum_fast(k, h) == reciprocity
 
     def test_lambda_matches_library(self, capsys):
         code, out, _ = run_cli(
@@ -583,6 +594,21 @@ class TestTauBudget:
         assert total_p_signature(SeifertMatrix([]), p) == 0
         code, out, err = run_cli(capsys, ["tau", "--unknot", "--slope", f"{p}/3"])
         assert (code, out, err) == (0, f"tau = {-4 * p * dedekind_sum_fast(3, p)}\n", "")
+
+    def test_unknot_value_past_4300_digits_prints_in_full(self, capsys):
+        # the slope is read under Python's int-to-text limit; the value has
+        # about 8,000 digits, and the limit is back in place after the call
+        p = 10**4000 + 1
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, ["tau", "--unknot", "--slope", f"{p}/3"])
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = f"tau = {-4 * p * dedekind_sum_fast(3, p)}\n"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out, err) == (0, expected, "")
+        assert len(out) > 8000
 
     def test_catalog_size_is_charged_before_its_matrix_is_built(self, capsys, monkeypatch):
         import cosmo.seifert

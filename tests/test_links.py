@@ -1,6 +1,7 @@
 """Diagram engine tests: skein oracle values, moves, generators, PD text."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +35,26 @@ def torus2_conway_closed_form(n: int) -> ConwayPoly:
 
     k = (n - 1) // 2
     return ConwayPoly({2 * j: math.comb(k + j, 2 * j) for j in range(k + 1)})
+
+
+def unmemoized_conway(d: LinkDiagram) -> ConwayPoly:
+    """Reference route for the memo table: sum the leaves of the whole skein tree.
+
+    Every path from the root multiplies by sign * z once per smoothing, so a
+    path carries a monomial c z^e; a one-component descending leaf adds it.
+    """
+    total: dict[int, int] = {}
+    stack = [(d, 0, 1)]
+    while stack:
+        d, e, c = stack.pop()
+        bad = d.first_bad_crossing()
+        if bad is None:
+            if len(d.components) == 1:
+                total[e] = total.get(e, 0) + c
+            continue
+        stack.append((d.switch_crossing(bad), e, c))
+        stack.append((d.smooth_crossing(bad), e + 1, c * d.crossings[bad].sign))
+    return ConwayPoly(total)
 
 
 # small random braid closures for property tests
@@ -94,7 +115,9 @@ class TestSkeinProperties:
     @given(braid_words)
     def test_engines_agree(self, word):
         d = closed(word)
-        assert conway_polynomial(d) == conway_polynomial(d, use_memo=False)
+        assert conway_polynomial(d) == unmemoized_conway(d)
+        d = braid_closure([1, -2, 1, -2, 1, -2], 3)
+        assert conway_polynomial(d) == unmemoized_conway(d)
 
     @settings(max_examples=40, deadline=None)
     @given(braid_words, st.data())
@@ -773,15 +796,13 @@ class TestSkeinBudget:
         with pytest.raises(DiagramError, match="more than 963 skein nodes"):
             conway_polynomial(d)
 
-    def test_budget_binds_the_plain_engine(self, monkeypatch):
-        d = braid_closure([1, -2, 1, -2, 1, -2], 3)
-        assert conway_polynomial(d, use_memo=False) == conway_polynomial(d)
-        monkeypatch.setattr(links, "SKEIN_NODE_BUDGET", 3)
-        with pytest.raises(DiagramError, match="skein nodes"):
-            conway_polynomial(d, use_memo=False)
-
     def test_budget_is_per_call(self, monkeypatch):
         monkeypatch.setattr(links, "SKEIN_NODE_BUDGET", 56)
         for _ in range(3):
             assert conway_polynomial(torus2_diagram(15)) == torus2_conway_closed_form(15)
 
+    def test_recursion_depth_bound_fits_the_interpreter(self):
+        # a root-to-leaf skein path at n crossings is at most (n + 1)(n + 2)/2
+        # calls deep; 100 frames are left for the callers
+        cap = links.SKEIN_CROSSING_LIMIT
+        assert (cap + 1) * (cap + 2) // 2 + 100 <= sys.getrecursionlimit()

@@ -23,6 +23,8 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
         ),
         # one row per coprime pair q < p for p = 2..12
         ("lens_space_table.py", ["--max-p", "12", "--all-q"], 45),
+        # the skein oracle recomputes a3 for both pretzels
+        ("pretzel_sweep.py", ["--max-a", "1", "--min-b", "-1", "--max-b", "1", "--slopes", "1/1"], 2),
     ],
 )
 def test_script_runs(name, args, rows):
@@ -35,3 +37,6 @@ def test_script_runs(name, args, rows):
     assert out.stderr == ""
     lines = out.stdout.splitlines()
     assert len(lines) == 2 + rows  # header and rule, then the table
+    if name == "pretzel_sweep.py":  # the oracle column is the last
+        oracle = "skipped" if "--skip-oracle" in args else "agrees"
+        assert [line.split()[-1] for line in lines[2:]] == [oracle] * rows
