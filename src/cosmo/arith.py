@@ -28,6 +28,8 @@ All functions are pure; the module is safe to use from multiple threads.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -35,6 +37,8 @@ Q = Fraction
 
 __all__ = [
     "Q",
+    "IntegerTooLong",
+    "parse_int",
     "Slope",
     "sawtooth",
     "dedekind_sum_naive",
@@ -43,6 +47,28 @@ __all__ = [
     "LinkSurgeryInvariants",
     "v3",
 ]
+
+
+class IntegerTooLong(ValueError):
+    """A well-formed integer with more digits than Python reads from text."""
+
+
+# the text int() reads, so that text it refuses that matches is past the
+# limit; compiled on the first refusal, not on import
+_INTEGER = r"\s*[+-]?\d+(?:_\d+)*\s*"
+
+
+def parse_int(text: str) -> int:
+    """``int(text)``, but past Python's limit on the digits int() reads the
+    error is ``IntegerTooLong`` with one line that gives the length of the
+    integer, not its digits."""
+    try:
+        return int(text)
+    except ValueError:
+        if not re.fullmatch(_INTEGER, text):
+            raise
+    digits, limit = sum(map(str.isdecimal, text)), sys.get_int_max_str_digits()
+    raise IntegerTooLong(f"integer too long: {digits} digits > Python's int() limit of {limit} digits")
 
 
 class _SlopeFields(NamedTuple):
@@ -77,7 +103,9 @@ class Slope(_SlopeFields):
     def parse(cls, text: str) -> "Slope":
         """Parse 'p/q' or a bare integer 'p' (meaning p/1)."""
         try:
-            nums = [int(t) for t in text.strip().split("/")]
+            nums = [parse_int(t) for t in text.strip().split("/")]
+        except IntegerTooLong:
+            raise
         except ValueError:
             nums = []
         if not 1 <= len(nums) <= 2:

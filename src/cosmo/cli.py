@@ -27,7 +27,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import LinkSurgeryInvariants, Slope, dedekind_sum_fast, dedekind_sum_naive
+from .arith import IntegerTooLong, LinkSurgeryInvariants, Slope, dedekind_sum_fast, dedekind_sum_naive, parse_int
 
 __all__ = ["Command", "parse_args", "run", "emit_json", "main"]
 
@@ -51,9 +51,20 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from None
 
 
+def _int(text: str) -> int:
+    try:
+        return parse_int(text)
+    except IntegerTooLong as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    except ValueError:  # argparse's own text for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(t) for t in text.split(",")]
+        return [parse_int(t) for t in text.split(",")]
+    except IntegerTooLong as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}") from None
 
@@ -70,48 +81,48 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = with_format(sub.add_parser("dedekind", help="exact Dedekind sum s(p, q)"))
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--p", type=_int, required=True)
+    p.add_argument("--q", type=_int, required=True)
 
     p = with_format(sub.add_parser("conway", help="Conway polynomial of a link diagram"))
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--pd", metavar="FILE", help="diagram file, X/C line format")
     src.add_argument("--braid", type=_int_list, metavar="WORD", help="braid word, e.g. 1,1,1")
-    p.add_argument("--strands", type=int, default=None, help="strand count for --braid")
+    p.add_argument("--strands", type=_int, default=None, help="strand count for --braid")
 
     p = with_format(sub.add_parser("lambda", help="Casson-Walker value of a 2-component surgery"))
-    p.add_argument("--lk", type=int, required=True)
-    p.add_argument("--a2x", type=int, required=True)
-    p.add_argument("--a2y", type=int, required=True)
-    p.add_argument("--a3", type=int, required=True)
+    p.add_argument("--lk", type=_int, required=True)
+    p.add_argument("--a2x", type=_int, required=True)
+    p.add_argument("--a2y", type=_int, required=True)
+    p.add_argument("--a3", type=_int, required=True)
     p.add_argument("--sx", type=_slope, required=True)
     p.add_argument("--sy", type=_slope, required=True)
 
     p = with_format(sub.add_parser("tau", help="Casson-Gordon value of p/q surgery on a knot"))
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--matrix", metavar="FILE", help="Seifert matrix file: size line, then rows")
-    src.add_argument("--torus2", type=int, metavar="N", help="catalog (2, N) torus knot")
+    src.add_argument("--torus2", type=_int, metavar="N", help="catalog (2, N) torus knot")
     src.add_argument("--unknot", action="store_true")
     p.add_argument("--slope", type=_slope, required=True)
 
     p = with_format(sub.add_parser("obstruct-purely", help="purely cosmetic surgery tests"))
-    p.add_argument("--delta2", type=int, help="Alexander second derivative at 1 (knot test)")
-    p.add_argument("--a2", type=int, help="a2 of the knotted component (framing-family test)")
-    p.add_argument("--q0", type=int, help="framing denominator (framing-family test)")
-    p.add_argument("--a3", type=int, help="a3 of the link (shared by two modes)")
-    p.add_argument("--a2x", type=int, help="a2 of the surgered component (candidate test)")
-    p.add_argument("--a2y", type=int, help="a2 of the framed component (candidate test)")
-    p.add_argument("--lk", type=int, default=0, help="linking number (candidate test, must be 0)")
+    p.add_argument("--delta2", type=_int, help="Alexander second derivative at 1 (knot test)")
+    p.add_argument("--a2", type=_int, help="a2 of the knotted component (framing-family test)")
+    p.add_argument("--q0", type=_int, help="framing denominator (framing-family test)")
+    p.add_argument("--a3", type=_int, help="a3 of the link (shared by two modes)")
+    p.add_argument("--a2x", type=_int, help="a2 of the surgered component (candidate test)")
+    p.add_argument("--a2y", type=_int, help="a2 of the framed component (candidate test)")
+    p.add_argument("--lk", type=_int, default=0, help="linking number (candidate test, must be 0)")
     p.add_argument("--s0", type=_slope, help="framing slope of the second component (candidate test)")
 
     p = with_format(sub.add_parser("obstruct-chirally", help="chirally cosmetic surgery tests"))
     p.add_argument("--lambda-w", dest="lambda_w", type=_rational, help="ambient Casson-Walker value")
-    p.add_argument("--a2", type=int, help="a2 of the framed knot (framing-family test)")
-    p.add_argument("--p0", type=int, help="integer framing coefficient (framing-family test)")
+    p.add_argument("--a2", type=_int, help="a2 of the framed knot (framing-family test)")
+    p.add_argument("--p0", type=_int, help="integer framing coefficient (framing-family test)")
 
     p = with_format(sub.add_parser("pretzel", help="candidate analysis for the pretzel family"))
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--a", type=_int, required=True)
+    p.add_argument("--b", type=_int, required=True)
     p.add_argument("--slope", type=_slope, required=True)
 
     sub.add_parser("selftest", help="deterministic closed-form / oracle checks")
@@ -320,21 +331,26 @@ def _run_lambda(opt):
 
 
 def _load_matrix(seifert, opt):
+    # tau runs an elimination of n (p - 1) rows on a matrix of size n, and a
+    # knot check is one of n rows; a catalog knot is charged as if it were
+    # checked, before its dense matrix is built
+    def charge(n):
+        seifert._check_tau_work(n, max(n, n * (opt["slope"].p - 1)))
+
     if opt.get("matrix"):
         with open(opt["matrix"], encoding="utf-8") as fh:
             m = seifert.parse_seifert_matrix(fh.read())
-        # the knot check is an elimination of size n, charged before it runs
-        seifert._check_tau_work(m.size, max(m.size, m.size * (opt["slope"].p - 1)))
+        charge(m.size)
         # tau is defined for knots, whose Seifert matrices have det(S - S^T) = 1
         e, n = m.entries, range(m.size)
-        det = seifert._det([{j: e[i][j] - e[j][i] for j in n} for i in n])
+        det = seifert._det([[e[i][j] - e[j][i] for j in n] for i in n])
         if det != 1:
             raise ValueError(f"not a knot Seifert matrix: det(S - S^T) = {det}, expected 1")
         return m
     if opt.get("torus2") is not None:
         n = opt["torus2"]
-        if n >= 3 and n % 2:  # a valid size is charged before its dense matrix is built
-            seifert._check_tau_work(n - 1, (n - 1) * (opt["slope"].p - 1))
+        if n >= 3 and n % 2:  # any other n meets seifert_torus2's own refusal
+            charge(n - 1)
         return seifert.seifert_torus2(n)
     return seifert.SeifertMatrix([])
 

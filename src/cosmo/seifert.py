@@ -1,15 +1,20 @@
 """Seifert-matrix invariants: Conway/Alexander data, signatures, surgery tau.
 
-Both exact routes run on one fraction-free integer elimination (Bareiss).
-The determinant route to the Conway polynomial evaluates det(y S - S^T) once,
-at a power of two y = 2^B wide enough that the integer coefficients are its
-balanced base-2^B digits (Kronecker substitution), and rewrites
+Both exact routes run on fraction-free integer elimination (Bareiss), each
+with a kernel of its own on list rows.  The determinant route to the Conway
+polynomial evaluates det(y S - S^T) once, at a power of two y = 2^B wide
+enough that the integer coefficients are its balanced base-2^B digits
+(Kronecker substitution), by dense elimination (``_det``), and rewrites
 det(x S - x^-1 S^T) in z = x - x^-1.  It is deliberately independent of the
 skein recursion in ``links`` so the two can check each other.  The total
 signature over the p-th roots of unity, which is all that surgery tau needs,
-is the signature of one symmetric integer matrix of size n(p-1), read off the
-signs of its pivots; no float is involved.  ``TAU_WORK_BUDGET`` bounds that
-elimination before it runs.
+is the signature of one symmetric integer form of size n(p-1), read off the
+signs of its pivots; no float is involved.  ``_sym_pivots`` stores only the
+upper envelope of each row (the diagonal entry up to the last nonzero one),
+repairs a zero pivot by one congruence, and rescales a row that a pivot does
+not reach only when it is next used (lazy units), so the block-banded form is
+worked inside its envelope.  ``TAU_WORK_BUDGET`` bounds that elimination
+before it runs.
 
 Signatures of the Hermitian form (1-w) S + (1-conj(w)) S^T at an arbitrary
 unit-modulus w come from cyclic Jacobi rotations on the complex matrix
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import TYPE_CHECKING, Iterable
 
 from .arith import Q, Slope, dedekind_sum_fast
@@ -48,12 +54,13 @@ _ZERO_TOL = 1e-9
 
 # Bounds the integer eliminations of one tau, checked before they run: N rows
 # on a Seifert matrix of size n are charged N (n + 1)^2, since each row meets
-# O(n) others over O(n) columns of the band and costs a little on its own.  At
-# the budget the (2, k) torus knots take at most about 1.3 s and 65 MB (the
-# trefoil at p = 55,556; CPython 3.11, one core of a 2-core x86-64 machine).
-# Pivots that grow with N, as they do when the Alexander polynomial has roots
-# off the unit circle, cost more.  The costliest tau the tests, scripts and
-# benchmark evaluate, the trefoil at p = 1002, is charged 18,018.
+# O(n) others over O(n) columns of its envelope and costs a little on its own.
+# At the budget the (2, k) torus knots take at most about 0.45 s of CPU and
+# 17 MB of peak RSS (the trefoil at p = 55,556; CPython 3.11, one core of a
+# 2-core x86-64 machine).  Pivots that grow with N, as they do when the
+# Alexander polynomial has roots off the unit circle, cost more.  The
+# costliest tau the tests, scripts and benchmark evaluate, the trefoil at
+# p = 1002, is charged 18,018.
 TAU_WORK_BUDGET = 1_000_000
 
 
@@ -114,63 +121,84 @@ def seifert_torus2(n: int) -> SeifertMatrix:
 # fraction-free integer elimination
 
 
-def _pivots(rows: list[dict[int, int]], symmetric: bool) -> list[int]:
-    """Nonzero pivots of fraction-free (Bareiss) elimination without swaps.
+def _sym_pivots(rows: list[list[int]]) -> list[int]:
+    """Nonzero pivots of fraction-free (Bareiss) elimination of a symmetric form.
 
-    ``rows[i]`` maps column to entry and is consumed; its keys must include
-    every i' > i with rows[i'][i] != 0, which a symmetric sparse matrix and a
-    dense one both satisfy.  The pivots are the successive leading principal
-    minors after unimodular changes that keep the determinant and, for a
-    symmetric matrix, the congruence class:
+    ``rows[i]`` is the upper envelope of row i: its entries at columns i,
+    i + 1, ... up to (at least) its last nonzero one, so that
+    ``rows[i][c - i]`` is entry (i, c) and an entry past the end is zero.
+    The kernel replaces rows and never changes one in place, so rows may
+    share one list.  Entry (c, i) below the diagonal is (i, c), so pivot k
+    updates only the rows i > k with (k, i) != 0, and in each only the
+    columns c >= i, using the pivot row's (k, i) in place of (i, k).
 
-    - a zero pivot k with rows[j][k] != 0 for some j > k gets row j added to
-      row k.  When symmetric, column j is added to column k as well, both
-      times t for the sign t in {1, -1} that makes the new pivot
-      2 t m[k][j] + m[j][j] nonzero;
-    - a column with nothing at or below the diagonal gives no pivot.  In a
-      symmetric matrix its row is zero as well, so it lies in the radical.
+    The pivots are the successive leading principal minors, up to two
+    congruences that keep the signature:
+
+    - a zero pivot k is repaired with the first j > k with (k, j) != 0: row
+      and column k gain t times row and column j, for the t in {1, -1} that
+      makes the new pivot 2 t (k, j) + (j, j) nonzero.  Only row k's
+      envelope changes; its entries at k < c < j read (j, c) = (c, j) from
+      row c;
+    - a zero pivot row with nothing after its diagonal is a zero row of the
+      form still to be eliminated, so it lies in the radical and gives no
+      pivot.
 
     A row that pivot k does not reach keeps the units of the last pivot that
-    did (``at``) and is rescaled only when next used, so a banded matrix is
-    worked only inside its band.  The rescaled entries are minors of the
-    matrix again (Sylvester's identity), so every division is exact.
+    did (``at``) and is rescaled only when next used, so a banded form is
+    worked only inside its envelope.  The rescaled entries are minors of the
+    form again (Sylvester's identity), so every division is exact.
     """
     at = [1] * len(rows)
     prev = 1
     pivots: list[int] = []
 
-    def lift(r: int) -> dict[int, int]:
+    def lift(r: int) -> list[int]:
         if at[r] != prev:
-            rows[r] = {c: v * prev // at[r] for c, v in rows[r].items()}
+            rows[r] = [v * prev // at[r] for v in rows[r]]
             at[r] = prev
         return rows[r]
 
     for k in range(len(rows)):
         row = lift(k)
-        if not row.get(k):
-            j = next((j for j in row if j > k and rows[j].get(k)), None)
-            if j is None:
+        if not row or not row[0]:
+            d = next((d for d, v in enumerate(row) if v), 0)
+            if not d:
                 continue
-            other = lift(j)
-            t = -1 if symmetric and 2 * other[k] + other.get(j, 0) == 0 else 1
-            for c, v in other.items():
-                row[c] = row.get(c, 0) + t * v
-            if symmetric:
-                for i in [i for i in other if i >= k]:
-                    rows[i][k] = rows[i].get(k, 0) + t * rows[i].get(j, 0)
-        piv = row[k]
-        for i in [i for i in row if i > k and rows[i].get(k)]:
-            other = lift(i)
-            f = other[k]
-            rows[i] = {
-                c: (piv * other.get(c, 0) - f * row.get(c, 0)) // prev
-                for c in other.keys() | row.keys()
-                if c > k
-            }
-            at[i] = piv
+            j = k + d
+            low = lift(j)
+            diag = low[0] if low else 0
+            t = -1 if 2 * row[d] + diag == 0 else 1
+            repaired = 2 * t * row[d] + diag
+            # (j, c) for c from k on: (c, j) from row c below j, then row j
+            col = [0] * d
+            for c in range(k + 1, j):
+                r = lift(c)
+                if j - c < len(r):
+                    col[c - k] = r[j - c]
+            row = [a + t * b for a, b in zip_longest(row, col + low, fillvalue=0)]
+            row[0] = repaired
+            rows[k] = row
+        piv = row[0]
+        for d, f in enumerate(row):
+            if f and d:
+                i = k + d
+                other, unit = rows[i], at[i]
+                if unit != prev:  # lift(i), inline in the kernel's hot loop
+                    other = [v * prev // unit for v in other]
+                rows[i] = [(piv * a - f * b) // prev for a, b in zip_longest(other, row[d:], fillvalue=0)]
+                at[i] = piv
+        rows[k] = None  # never read again
         pivots.append(piv)
         prev = piv
     return pivots
+
+
+def _trimmed(row: list[int]) -> list[int]:
+    """``row`` without its trailing zeros."""
+    while row and not row[-1]:
+        row.pop()
+    return row
 
 
 def _check_tau_work(n: int, rows: int) -> None:
@@ -183,10 +211,23 @@ def _check_tau_work(n: int, rows: int) -> None:
         )
 
 
-def _det(rows: list[dict[int, int]]) -> int:
-    """Determinant of a square integer matrix of dense rows, consumed as by ``_pivots``."""
-    pivots = [1] + _pivots(rows, symmetric=False)  # the empty matrix has determinant 1
-    return pivots[-1] if len(pivots) > len(rows) else 0
+def _det(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix of list rows, by dense Bareiss elimination.
+
+    Each step drops the pivot column, so row r's entry 0 is its entry in the
+    current pivot column.  A zero pivot gains the first row below it with a
+    nonzero entry there, which keeps the determinant; with none, it is 0.
+    """
+    prev = 1
+    while m:
+        j = next((j for j, row in enumerate(m) if row[0]), None)
+        if j is None:
+            return 0
+        top = m[0] if j == 0 else [a + b for a, b in zip(m[0], m[j])]
+        piv, top = top[0], top[1:]
+        m = [[(piv * a - row[0] * b) // prev for a, b in zip(row[1:], top)] for row in m[1:]]
+        prev = piv
+    return prev
 
 
 def _laurent_to_z(laurent: dict[int, int]) -> dict[int, int]:
@@ -237,7 +278,7 @@ def conway_from_seifert(s: SeifertMatrix) -> ConwayPoly:
     e = s.entries
     bound = math.prod(sum(abs(e[i][j]) + abs(e[j][i]) for j in range(n)) for i in range(n))
     shift = bound.bit_length() + 1
-    value = _det([{j: (e[i][j] << shift) - e[j][i] for j in range(n)} for i in range(n)])
+    value = _det([[(e[i][j] << shift) - e[j][i] for j in range(n)] for i in range(n)])
     half, mask = 1 << (shift - 1), (1 << shift) - 1
     f = []
     for _ in range(n + 1):
@@ -333,7 +374,8 @@ def total_p_signature(s: SeifertMatrix, p: int) -> int:
     (Kauffman-Taylor).  The block circulant with p such block rows splits
     over the p-th roots w into (1-w) S + (1-conj(w)) S^T, and dropping its
     last block row and column removes the radical of the w = 1 summand.
-    The pivots are leading principal minors, so each sign change along
+    The pivots are the leading principal minors of a congruent form with
+    its radical dropped (``_sym_pivots``), so each sign change along
     1, d_1, d_2, ... is one negative square (Jacobi).  An elimination past
     ``TAU_WORK_BUDGET`` raises ValueError before it starts.  The unknot
     (n = 0) and p = 1 give a form of size 0, so nothing is built or charged.
@@ -344,17 +386,12 @@ def total_p_signature(s: SeifertMatrix, p: int) -> int:
     if n == 0 or p == 1:
         return 0
     _check_tau_work(n, n * (p - 1))
-    blocks = (
-        (-1, [[-e[j][i] for j in range(n)] for i in range(n)]),
-        (0, [[e[i][j] + e[j][i] for j in range(n)] for i in range(n)]),
-        (1, [[-e[i][j] for j in range(n)] for i in range(n)]),
-    )
-    rows = [
-        {(b + d) * n + j: v for d, block in blocks if 0 <= b + d < p - 1 for j, v in enumerate(block[i]) if v}
-        for b in range(p - 1)
-        for i in range(n)
-    ]
-    pivots = _pivots(rows, symmetric=True)
+    # the envelope of row i of a block row: S + S^T from the diagonal on, then
+    # -S in the next block column, which the last block row does not have;
+    # the block rows before it share one list per i
+    last = [[e[i][j] + e[j][i] for j in range(i, n)] for i in range(n)]
+    mid = [_trimmed(last[i] + [-v for v in e[i]]) for i in range(n)]
+    pivots = _sym_pivots(mid * (p - 2) + [_trimmed(row) for row in last])
     negative = sum((a < 0) != (b < 0) for a, b in zip([1] + pivots, pivots))
     return len(pivots) - 2 * negative
 

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cosmo.arith import (
+    IntegerTooLong,
     Slope,
+    parse_int,
     _twelve_s,
     dedekind_sum_fast,
     dedekind_sum_naive,
@@ -197,6 +200,38 @@ class TestSlope:
             with pytest.raises(ValueError, match="malformed slope"):
                 Slope.parse(bad)
 
+    def test_parse_past_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        line = f"integer too long: {limit + 1} digits > Python's int() limit of {limit} digits"
+        for text in (f"{'7' * (limit + 1)}/3", f" -1/{'7' * (limit + 1)} "):
+            with pytest.raises(IntegerTooLong) as info:
+                Slope.parse(text)
+            assert str(info.value) == line
+        with pytest.raises(ValueError, match="malformed slope"):
+            Slope.parse(f"{'7' * (limit + 1)}x/3")
+
     def test_fraction_and_str(self):
         assert Slope(-4, 6).fraction == Fraction(-2, 3)
         assert str(Slope(5, 1)) == "5/1"
+
+
+class TestParseInt:
+    def test_reads_what_int_reads(self):
+        for text in ("0", "-12", "+7", " 42 ", "1_000", "\t-3\n", "١٢"):
+            assert parse_int(text) == int(text)
+
+    def test_malformed_text_keeps_ints_error(self):
+        for text in ("", "x", "1.5", "1__0", "_1", "1_", "- 1", "0x1f"):
+            with pytest.raises(ValueError) as info:
+                parse_int(text)
+            assert type(info.value) is ValueError
+            assert str(info.value) == f"invalid literal for int() with base 10: {text!r}"
+
+    def test_past_the_limit_gives_the_length_only(self):
+        limit = sys.get_int_max_str_digits()
+        assert parse_int("9" * limit) == 10**limit - 1
+        for text, digits in (("9" * (limit + 1), limit + 1), (f" -{'12_' * limit}3 ", 2 * limit + 1)):
+            with pytest.raises(IntegerTooLong) as info:
+                parse_int(text)
+            assert isinstance(info.value, ValueError)
+            assert str(info.value) == f"integer too long: {digits} digits > Python's int() limit of {limit} digits"

@@ -584,6 +584,59 @@ class TestSkeinBudget:
         assert json.loads(out) == {"coefficients": {"0": 1, "2": 3, "4": 1}}
 
 
+class TestOversizeIntegers:
+    # Python reads at most sys.get_int_max_str_digits() digits into an int;
+    # past that an argument gets one line with its length, not its digits
+    LIMIT = sys.get_int_max_str_digits()
+    WIDE = "1" * (LIMIT + 101)
+    LINE = f"integer too long: {LIMIT + 101} digits > Python's int() limit of {LIMIT} digits"
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["tau", "--unknot", "--slope", f"{WIDE}/3"], "--slope"),
+            (["tau", "--unknot", "--slope", f"3/{WIDE}"], "--slope"),
+            (["dedekind", "--p", WIDE, "--q", "3"], "--p"),
+            (["tau", "--torus2", WIDE, "--slope", "2/1"], "--torus2"),
+            (["lambda", "--lk", "0", "--a2x", "0", "--a2y", "0", "--a3", f"-{WIDE}", "--sx", "1", "--sy", "1"], "--a3"),
+            (["conway", "--braid", f"1,{WIDE}"], "--braid"),
+        ],
+        ids=["slope-p", "slope-q", "p", "torus2", "a3", "braid"],
+    )
+    def test_one_line_without_the_digits(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f": error: argument {flag}: {self.LINE}\n")
+        assert "1111" not in err and len(err) < 400
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["dedekind", "--p", "x", "--q", "3"], "argument --p: invalid int value: 'x'"),
+            (["dedekind", "--p", "1.5", "--q", "3"], "argument --p: invalid int value: '1.5'"),
+            (["tau", "--torus2", "", "--slope", "2/1"], "argument --torus2: invalid int value: ''"),
+            (
+                ["tau", "--unknot", "--slope", "x/y"],
+                "argument --slope: malformed slope 'x/y': expected 'p/q' with integer p, q",
+            ),
+            (
+                ["conway", "--braid", "1,x"],
+                "argument --braid: expected a comma-separated integer list, got '1,x'",
+            ),
+        ],
+        ids=["word", "decimal", "empty", "slope", "braid"],
+    )
+    def test_malformed_messages_are_unchanged(self, capsys, argv, line):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"cosmo {argv[0]}: error: {line}"
+
+    def test_integers_at_the_limit_are_read(self, capsys):
+        p = 10 ** (self.LIMIT - 1) + 1  # LIMIT digits
+        assert parse_args(["dedekind", "--p", str(p), "--q", "3"]).options["p"] == p
+        assert parse_args(["tau", "--unknot", "--slope", f"{p}/3"]).options["slope"] == Slope(p, 3)
+
+
 class TestTauBudget:
     # T(2, 21) has a Seifert matrix of size 20; p/q surgery is charged 20 (p - 1) 21^2
     def test_unknot_at_a_41_digit_slope_answers_at_once(self, capsys):
@@ -611,15 +664,18 @@ class TestTauBudget:
         assert len(out) > 8000
 
     def test_catalog_size_is_charged_before_its_matrix_is_built(self, capsys, monkeypatch):
+        # charged as --matrix is, max(n, n (p - 1)) rows of size n = 4000, also
+        # at p = 1, where tau eliminates nothing
         import cosmo.seifert
 
         monkeypatch.setattr(cosmo.seifert, "seifert_torus2", lambda n: pytest.fail(f"built T(2, {n})"))
-        code, out, err = run_cli(capsys, ["tau", "--torus2", "4001", "--slope", "2/1"])
-        assert (code, out) == (2, "")
-        assert err == (
-            "error: Seifert matrix too costly for tau: 4000 elimination rows at size 4000 "
-            f"cost {4000 * 4001**2} > budget 1000000\n"
-        )
+        for slope in ("2/1", "1/1"):
+            code, out, err = run_cli(capsys, ["tau", "--torus2", "4001", "--slope", slope])
+            assert (code, out) == (2, "")
+            assert err == (
+                "error: Seifert matrix too costly for tau: 4000 elimination rows at size 4000 "
+                f"cost {4000 * 4001**2} > budget 1000000\n"
+            )
 
     def test_last_slope_within_budget_answers(self, capsys):
         code, out, err = run_cli(capsys, ["tau", "--torus2", "21", "--slope", "114/1"])

@@ -1,9 +1,11 @@
 """Seifert pipeline tests: determinant route, signatures, surgery tau."""
 
 import cmath
+import inspect
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,7 +24,7 @@ from cosmo.seifert import (
     seifert_torus2,
     total_p_signature,
 )
-from cosmo.seifert import _det, _laurent_to_z
+from cosmo.seifert import _det, _laurent_to_z, _sym_pivots
 
 
 def hermitian_signature_2x2(s: SeifertMatrix, omega: complex) -> int:
@@ -69,7 +71,7 @@ def newton_conway(s: SeifertMatrix) -> ConwayPoly:
     n, e = s.size, s.entries
     if n == 0:
         return ConwayPoly.one()
-    values = [_det([{j: y * e[i][j] - e[j][i] for j in range(n)} for i in range(n)]) for y in range(n + 1)]
+    values = [_det([[y * e[i][j] - e[j][i] for j in range(n)] for i in range(n)]) for y in range(n + 1)]
     newton = []
     for k in range(n + 1):
         newton.append(values[0] // math.factorial(k))
@@ -140,6 +142,50 @@ def descartes_signature(a: list[list[int]]) -> int:
         return sum((x < 0) != (y < 0) for x, y in zip(nonzero, nonzero[1:]))
 
     return changes(c) - changes([x * (-1) ** k for k, x in enumerate(c)])
+
+
+def cofactor_det(m: list[list[int]]) -> int:
+    """Determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * v * cofactor_det([row[:j] + row[j + 1:] for row in m[1:]]) for j, v in enumerate(m[0]) if v
+    )
+
+
+def envelope_rows(a: list[list[int]]) -> list[list[int]]:
+    """The upper envelope of each row of a symmetric matrix, trailing zeros trimmed."""
+    rows = []
+    for i, row in enumerate(a):
+        env = row[i:]
+        while env and not env[-1]:
+            env.pop()
+        rows.append(env)
+    return rows
+
+
+def pivot_signature(pivots: list[int]) -> int:
+    return len(pivots) - 2 * sum((a < 0) != (b < 0) for a, b in zip([1] + pivots, pivots))
+
+
+def line_runs(func, marker: str, call) -> int:
+    """How often the line of ``func`` that contains ``marker`` runs during ``call()``."""
+    lines, first = inspect.getsourcelines(func)
+    (target,) = [first + i for i, line in enumerate(lines) if marker in line]
+    runs = 0
+
+    def local(frame, event, arg):
+        nonlocal runs
+        runs += event == "line" and frame.f_lineno == target
+        return local
+
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is func.__code__ else None)
+    try:
+        call()
+    finally:
+        sys.settrace(old)
+    return runs
 
 
 small_matrices = st.integers(min_value=-4, max_value=4)
@@ -319,6 +365,101 @@ class TestConwayRoute:
     def test_reduction_rejects_non_symmetric_laurent(self):
         with pytest.raises(ValueError, match="not a valid Seifert matrix"):
             _laurent_to_z({1: 1, -1: 1})
+
+
+class TestEliminationKernels:
+    @staticmethod
+    def symmetric_cases(rng: random.Random) -> list[list[list[int]]]:
+        """Seeded symmetric matrices: zero diagonals, ragged envelopes, radicals."""
+        cases = []
+        for trial in range(240):
+            n = rng.randint(1, 8)
+            a = [[0] * n for _ in range(n)]
+            density = rng.choice((0.25, 0.5, 1.0))
+            for i in range(n):
+                if trial % 3:  # two thirds keep a zero diagonal
+                    a[i][i] = 0
+                else:
+                    a[i][i] = rng.choice((0, 1, -1, 2, -5))
+                for j in range(i + 1, n):
+                    if rng.random() < density:
+                        a[i][j] = a[j][i] = rng.randint(-9, 9)
+            if trial % 4 == 1 and n > 1:  # a zero row and column
+                k = rng.randrange(n)
+                for i in range(n):
+                    a[i][k] = a[k][i] = 0
+            if trial % 4 == 3 and n > 1:  # a radical that is no coordinate axis: Q^T A Q
+                q = [[int(i == j) for j in range(n - 1)] + [rng.randint(-2, 2)] for i in range(n - 1)]
+                a = [
+                    [sum(q[k][i] * a[k][l] * q[l][j] for k in range(n - 1) for l in range(n - 1)) for j in range(n)]
+                    for i in range(n)
+                ]
+            cases.append(a)
+        return cases
+
+    def test_sym_pivots_match_characteristic_polynomial(self):
+        cases = self.symmetric_cases(random.Random(20261201))
+        inputs = [envelope_rows(a) for a in cases]
+        copies = [[list(r) for r in rows] for rows in inputs]
+        given = [list(rows) for rows in inputs]
+        pivots = []
+        repairs = line_runs(_sym_pivots, "repaired = ", lambda: pivots.extend(map(_sym_pivots, inputs)))
+        for a, got in zip(cases, pivots):
+            assert all(got) and pivot_signature(got) == descartes_signature(a), a
+        assert given == copies  # rows are replaced, never changed in place
+        assert repairs >= 150
+        assert sum(len(a) - len(got) for a, got in zip(cases, pivots)) >= 200  # radical rows
+
+    def test_sym_pivots_accept_shared_rows(self):
+        # the path graph's adjacency form: a zero diagonal, so pivots need
+        # repairs, and every row but the last is one list
+        row = [0, 1]
+        for n in range(1, 12):
+            a = [[int(abs(i - j) == 1) for j in range(n)] for i in range(n)]
+            assert pivot_signature(_sym_pivots([row] * (n - 1) + [[0]])) == descartes_signature(a) == 0
+            assert row == [0, 1]
+
+    def test_repair_sign_keeps_the_pivot_nonzero(self):
+        # 2 (k, j) + (j, j) = 0, so only t = -1 gives a nonzero pivot; in the
+        # last form the pair meets only after the first pivot
+        for a in ([[0, 1], [1, -2]], [[0, -3], [-3, 6]], [[1, 0, 0], [0, 0, 2], [0, 2, -4]]):
+            pivots = _sym_pivots(envelope_rows(a))
+            assert all(pivots) and len(pivots) == len(a), a
+            assert pivot_signature(pivots) == descartes_signature(a), a
+
+    def test_repair_pads_the_shorter_row(self):
+        # p = 2 gives the form S + S^T; its first pivot is repaired with row 1,
+        # longer than row 0, and dropping the overhang gave 0 here
+        s = SeifertMatrix([[0, 0, -1], [3, 3, -2], [3, 2, 0]])
+        form = [[0, 3, 2], [3, 6, 0], [2, 0, 0]]
+        assert total_p_signature(s, 2) == pivot_signature(_sym_pivots(envelope_rows(form))) == 1
+        assert descartes_signature(form) == 1
+
+    def test_det_matches_cofactor_expansion(self):
+        rng = random.Random(20261202)
+        cases = []
+        for n in range(1, 7):
+            for _ in range(40):
+                m = [[rng.randint(-6, 6) if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(n)]
+                kind = rng.randrange(4)
+                if kind == 1 and n > 2:  # singular: one row a combination of two others
+                    i, j, k = rng.sample(range(n), 3)
+                    m[i] = [rng.randint(-2, 2) * x + rng.randint(-2, 2) * y for x, y in zip(m[j], m[k])]
+                elif kind == 2 and n > 1:  # a zero first pivot with a nonzero entry below it
+                    m[0][0] = 0
+                    m[rng.randrange(1, n)][0] = rng.choice((1, -3))
+                elif kind == 3:  # a zero first column: determinant 0
+                    for row in m:
+                        row[0] = 0
+                cases.append(m)
+        singular = repaired = 0
+        for m in cases:
+            expected = cofactor_det(m)
+            singular += expected == 0
+            repaired += m[0][0] == 0 and any(row[0] for row in m)
+            assert _det([list(row) for row in m]) == expected, m
+        assert singular >= 60 and repaired >= 60
+        assert _det([]) == 1
 
 
 class TestSecondDerivative:
