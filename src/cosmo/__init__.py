@@ -12,54 +12,7 @@ then.  A one-shot command pays only for the modules it calls.
 
 import importlib
 
-__all__ = [
-    "Q",
-    "Slope",
-    "sawtooth",
-    "dedekind_sum_naive",
-    "dedekind_sum_fast",
-    "dedekind_symbol",
-    "Crossing",
-    "LinkDiagram",
-    "DiagramError",
-    "ConwayPoly",
-    "LinkSurgeryInvariants",
-    "conway_polynomial",
-    "linking_number",
-    "invariants_from_diagram",
-    "v3",
-    "braid_closure",
-    "torus2_diagram",
-    "pretzel_diagram",
-    "pretzel_a3_closed_form",
-    "parse_pd",
-    "format_pd",
-    "SeifertMatrix",
-    "seifert_torus2",
-    "conway_from_seifert",
-    "alexander_second_derivative",
-    "levine_tristram_signature",
-    "total_p_signature",
-    "casson_gordon_tau",
-    "parse_seifert_matrix",
-    "LinkingMatrix2",
-    "SurgeryResult",
-    "linking_matrix",
-    "signature_2x2",
-    "casson_walker_link_surgery",
-    "casson_boyer_lines",
-    "lambda_w_from_lambda",
-    "ObstructionReport",
-    "purely_cosmetic_candidates_ihs",
-    "purely_cosmetic_obstruction_bl",
-    "chirally_cosmetic_obstruction_ihs",
-    "purely_cosmetic_quadratic",
-    "purely_cosmetic_obstruction_thm4",
-    "chirally_cosmetic_obstruction",
-    "pretzel_analysis",
-]
-
-# every submodule and every public name -> the submodule it lives in
+# every submodule and every public name -> the submodule it is loaded from
 _HOME = {
     "arith": "arith",
     "casson_walker": "casson_walker",
@@ -112,6 +65,8 @@ _HOME = {
     "pretzel_analysis": "obstructions",
     "pretzel_a3_closed_form": "obstructions",
 }
+
+__all__ = [name for name, home in _HOME.items() if name != home]
 
 
 def __getattr__(name: str):

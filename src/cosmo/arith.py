@@ -19,8 +19,10 @@ which is well defined on the fraction p/q and satisfies the reciprocity law
     S(p/q) + S(q/p) = p/q + q/p + 1/(pq) - 3 sign(pq).
 
 The link data the surgery formula consumes, ``LinkSurgeryInvariants`` and
-its finite-type combination ``v3``, live here too, so that the formula and
-the obstruction tests need no diagram code.
+its finite-type combination ``v3``, live here too, and so does the closed
+form for a3 of the (2a+1, 2b, 2b) pretzel links, ``pretzel_a3_closed_form``:
+the formula and the obstruction tests need no diagram code, and the diagram
+code needs no obstruction test.
 
 All functions are pure; the module is safe to use from multiple threads.
 """
@@ -207,3 +209,18 @@ def v3(inv: LinkSurgeryInvariants) -> Fraction:
     """
     lk = inv.lk
     return Fraction(-inv.a3 + (inv.a2_x + inv.a2_y) * lk, 2) + Fraction(lk**3 - lk, 24)
+
+
+def _check_pretzel(a: int, b: int) -> None:
+    if a < 1:
+        raise ValueError(f"pretzel parameter a must be >= 1, got {a}")
+    if b == 0:
+        raise ValueError("pretzel parameter b must be nonzero")
+
+
+# its public homes are obstructions and links, which re-export it
+def pretzel_a3_closed_form(a: int, b: int) -> int:
+    """a3 of the (2a+1, 2b, 2b) pretzel link: -b (2b^2 + 6ab + 3b + 1) / 6."""
+    _check_pretzel(a, b)
+    # the numerator is -(b (b+1) (2b+1) + 6 a b^2), a multiple of 6 for every b
+    return -b * (2 * b * b + 6 * a * b + 3 * b + 1) // 6

@@ -48,7 +48,17 @@ def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from None
+        pass
+    # a numerator, denominator, decimal or exponent too long for int() is
+    # reported by its length, as _int reports an integer
+    for part in re.split(r"[/.eE]", text):
+        try:
+            parse_int(part)
+        except IntegerTooLong as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
 
 
 def _int(text: str) -> int:
@@ -333,8 +343,10 @@ def _run_lambda(opt):
 def _load_matrix(seifert, opt):
     # tau runs an elimination of n (p - 1) rows on a matrix of size n, and a
     # knot check is one of n rows; a catalog knot is charged as if it were
-    # checked, before its dense matrix is built
+    # checked, before its dense matrix is built.  A slope outside tau's range
+    # is refused first, as tau refuses it.
     def charge(n):
+        seifert._check_tau_slope(opt["slope"])
         seifert._check_tau_work(n, max(n, n * (opt["slope"].p - 1)))
 
     if opt.get("matrix"):

@@ -68,10 +68,9 @@ from bisect import bisect_left, insort
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-# the surgery-formula records and the pretzel closed form live with the code
-# that consumes them; they stay importable from here
-from .arith import LinkSurgeryInvariants, v3
-from .obstructions import _check_pretzel, pretzel_a3_closed_form
+# the surgery-formula records and the pretzel closed form live in arith, the
+# one compute module this one imports; they stay importable from here
+from .arith import LinkSurgeryInvariants, _check_pretzel, pretzel_a3_closed_form, v3
 
 __all__ = [
     "DiagramError",
@@ -461,6 +460,7 @@ def _weld(
 
 
 def _cycles_of(succ: Mapping[int, int]) -> tuple[tuple[int, ...], ...]:
+    """The cycles of ``succ``, each from its smallest arc, in increasing order of those arcs."""
     cycles = []
     left = set(succ)
     while left:
@@ -472,9 +472,7 @@ def _cycles_of(succ: Mapping[int, int]) -> tuple[tuple[int, ...], ...]:
             cyc.append(cur)
             left.discard(cur)
             cur = succ[cur]
-        lo = cyc.index(min(cyc))
-        cycles.append(tuple(cyc[lo:] + cyc[:lo]))
-    cycles.sort(key=min)
+        cycles.append(tuple(cyc))
     return tuple(cycles)
 
 

@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import LinkSurgeryInvariants, Q, Slope
+from .arith import LinkSurgeryInvariants, Q, Slope, pretzel_a3_closed_form
 
 __all__ = [
     "ObstructionReport",
@@ -99,19 +99,23 @@ def purely_cosmetic_candidates_ihs() -> set[int]:
     return set(_positive_integer_roots(-3, 9 - 4 * 2))
 
 
+def _scalar_report(
+    value: Fraction | int, evidence: tuple[tuple[str, Fraction | int], ...], obstructed: str, silent: str
+) -> ObstructionReport:
+    """The report of a one-number test, which obstructs exactly when its value is nonzero."""
+    if value:
+        return ObstructionReport(OBSTRUCTED, (), evidence, obstructed)
+    return ObstructionReport(INCONCLUSIVE, None, evidence, silent)
+
+
 def purely_cosmetic_obstruction_bl(delta2: int) -> ObstructionReport:
     """Rules out purely cosmetic surgery pairs on a knot in an integral
     homology sphere whenever the Alexander second derivative at 1 is nonzero."""
-    hit = delta2 != 0
-    return ObstructionReport(
-        verdict=OBSTRUCTED if hit else INCONCLUSIVE,
-        candidates=() if hit else None,
-        evidence=(("alexander_second_derivative_at_1", delta2),),
-        narrative=(
-            "no purely cosmetic surgery pair exists: the Alexander second derivative at 1 is nonzero"
-            if hit
-            else "test silent: the Alexander second derivative at 1 vanishes"
-        ),
+    return _scalar_report(
+        delta2,
+        (("alexander_second_derivative_at_1", delta2),),
+        "no purely cosmetic surgery pair exists: the Alexander second derivative at 1 is nonzero",
+        "test silent: the Alexander second derivative at 1 vanishes",
     )
 
 
@@ -119,16 +123,11 @@ def chirally_cosmetic_obstruction_ihs(lambda_w_sigma: Fraction) -> ObstructionRe
     """Rules out integral chirally cosmetic surgeries on knots in an ambient
     homology sphere whose own Casson-Walker value is nonzero."""
     value = Q(lambda_w_sigma)
-    hit = value != 0
-    return ObstructionReport(
-        verdict=OBSTRUCTED if hit else INCONCLUSIVE,
-        candidates=() if hit else None,
-        evidence=(("ambient_casson_walker", value),),
-        narrative=(
-            "no integral chirally cosmetic surgery pair exists: the ambient Casson-Walker value is nonzero"
-            if hit
-            else "test silent: the ambient Casson-Walker value vanishes"
-        ),
+    return _scalar_report(
+        value,
+        (("ambient_casson_walker", value),),
+        "no integral chirally cosmetic surgery pair exists: the ambient Casson-Walker value is nonzero",
+        "test silent: the ambient Casson-Walker value vanishes",
     )
 
 
@@ -188,16 +187,11 @@ def purely_cosmetic_obstruction_thm4(a2K: int, q0: int, a3L: int) -> Obstruction
     if q0 == 0:
         raise ValueError("framing denominator q0 must be nonzero")
     diff = a2K - q0 * a3L
-    hit = diff != 0
-    return ObstructionReport(
-        verdict=OBSTRUCTED if hit else INCONCLUSIVE,
-        candidates=() if hit else None,
-        evidence=(("a2_minus_q0_times_a3", diff),),
-        narrative=(
-            "no purely cosmetic pair of distinct denominators exists: a2 - q0*a3 is nonzero"
-            if hit
-            else "test silent: a2 - q0*a3 vanishes"
-        ),
+    return _scalar_report(
+        diff,
+        (("a2_minus_q0_times_a3", diff),),
+        "no purely cosmetic pair of distinct denominators exists: a2 - q0*a3 is nonzero",
+        "test silent: a2 - q0*a3 vanishes",
     )
 
 
@@ -208,35 +202,16 @@ def chirally_cosmetic_obstruction(a2K0: int, p0: int) -> ObstructionReport:
     if p0 == 0:
         raise ValueError("framing coefficient p0 must be nonzero")
     value = p0 * p0 - 3 * p0 + 2 - 24 * a2K0
-    hit = value != 0
-    evidence: list[tuple[str, Fraction | int]] = [("quadratic_value", value)]
+    evidence: tuple[tuple[str, Fraction | int], ...] = (("quadratic_value", value),)
     if p0 > 0:
-        evidence.append(("chirality_sum", Q(-value, 6 * p0)))
-    return ObstructionReport(
-        verdict=OBSTRUCTED if hit else INCONCLUSIVE,
-        candidates=() if hit else None,
-        evidence=tuple(evidence),
-        narrative=(
-            "no chirally cosmetic surgery pair (+p, -p) exists at this framing: "
-            "the p-independent sum of the two surgery values is nonzero"
-            if hit
-            else "test silent: the sum of the two surgery values vanishes for every p"
-        ),
+        evidence += (("chirality_sum", Q(-value, 6 * p0)),)
+    return _scalar_report(
+        value,
+        evidence,
+        "no chirally cosmetic surgery pair (+p, -p) exists at this framing: "
+        "the p-independent sum of the two surgery values is nonzero",
+        "test silent: the sum of the two surgery values vanishes for every p",
     )
-
-
-def _check_pretzel(a: int, b: int) -> None:
-    if a < 1:
-        raise ValueError(f"pretzel parameter a must be >= 1, got {a}")
-    if b == 0:
-        raise ValueError("pretzel parameter b must be nonzero")
-
-
-def pretzel_a3_closed_form(a: int, b: int) -> int:
-    """a3 of the (2a+1, 2b, 2b) pretzel link: -b (2b^2 + 6ab + 3b + 1) / 6."""
-    _check_pretzel(a, b)
-    # the numerator is -(b (b+1) (2b+1) + 6 a b^2), a multiple of 6 for every b
-    return -b * (2 * b * b + 6 * a * b + 3 * b + 1) // 6
 
 
 def pretzel_analysis(a: int, b: int, s0: Slope) -> ObstructionReport:

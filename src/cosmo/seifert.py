@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import TYPE_CHECKING, Iterable
 
-from .arith import Q, Slope, dedekind_sum_fast
+from .arith import IntegerTooLong, Q, Slope, dedekind_sum_fast, parse_int
 
 if TYPE_CHECKING:
     from .links import ConwayPoly
@@ -270,7 +270,7 @@ def conway_from_seifert(s: SeifertMatrix) -> ConwayPoly:
     exact on any integer matrix, so nothing else is needed; a zero row and
     column gives bound = 0 and f = 0.
     """
-    from .links import ConwayPoly  # here, so that tau alone loads neither links nor obstructions
+    from .links import ConwayPoly  # here, so that tau alone does not load links
 
     n = s.size
     if n == 0:
@@ -396,10 +396,14 @@ def total_p_signature(s: SeifertMatrix, p: int) -> int:
     return len(pivots) - 2 * negative
 
 
-def casson_gordon_tau(s: SeifertMatrix, slope: Slope) -> Fraction:
-    """Surgery value -4 p s(q,p) - (total p-signature) at slope p/q, p > 0."""
+def _check_tau_slope(slope: Slope) -> None:
     if slope.p <= 0:
         raise ValueError("formula applied outside its stated range (needs p > 0)")
+
+
+def casson_gordon_tau(s: SeifertMatrix, slope: Slope) -> Fraction:
+    """Surgery value -4 p s(q,p) - (total p-signature) at slope p/q, p > 0."""
+    _check_tau_slope(slope)
     dede = dedekind_sum_fast(slope.q, slope.p)
     return Q(-4) * slope.p * dede - total_p_signature(s, slope.p)
 
@@ -417,7 +421,9 @@ def parse_seifert_matrix(text: str) -> SeifertMatrix:
         if not line:
             continue
         try:
-            values = [int(t) for t in line.split()]
+            values = [parse_int(t) for t in line.split()]
+        except IntegerTooLong as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         except ValueError:
             raise ValueError(f"line {lineno}: expected integers, got {line!r}") from None
         if size is None:

@@ -413,6 +413,24 @@ class TestExitCodes:
             offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if flagged(node)]
         assert offenders == []
 
+    def test_compute_modules_import_only_arith(self):
+        # at module level a compute module imports only arith, and arith no
+        # other cosmo module, so a call loads just the modules it computes with
+        package = Path(cosmo.__file__).parent
+        imports = {}
+        for name in ("arith", "casson_walker", "links", "obstructions", "seifert"):
+            tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+            imports[name] = sorted(
+                node.module or "." for node in tree.body if isinstance(node, ast.ImportFrom) and node.level
+            )
+        assert imports == {
+            "arith": [],
+            "casson_walker": ["arith"],
+            "links": ["arith"],
+            "obstructions": ["arith"],
+            "seifert": ["arith"],
+        }
+
     def test_cli_import_loads_no_dataclasses_or_inspect(self):
         # every cosmo process pays for what importing the CLI loads: of the
         # compute modules, only arith, which parses the slopes
@@ -523,8 +541,7 @@ class TestLoadedModules:
                 'exists for any positive integer p: the candidate quadratic has no positive integer root"\n}\n',
                 _REPORT_MODULES,
             ),
-            # the diagram code reaches the pretzel closed form in obstructions
-            (["conway", "--braid", "1,1,1"], "nabla = 1 + z^2\na0 = 1\na2 = 1\n", {"arith", "links", "obstructions"}),
+            (["conway", "--braid", "1,1,1"], "nabla = 1 + z^2\na0 = 1\na2 = 1\n", {"arith", "links"}),
             (
                 ["tau", "--torus2", "3", "--slope", "5/1", "--format", "json"],
                 '{\n  "p": 5,\n  "q": 1,\n  "tau": "4/1"\n}\n',
@@ -631,6 +648,44 @@ class TestOversizeIntegers:
         assert (code, out) == (2, "")
         assert err.splitlines()[-1] == f"cosmo {argv[0]}: error: {line}"
 
+    @pytest.mark.parametrize(
+        "value", [WIDE, f"-{WIDE}/7", f"7/{WIDE}", f"0.{WIDE}", f"1e{WIDE}"], ids=["int", "num", "den", "dec", "exp"]
+    )
+    def test_rational_past_the_limit_is_one_line(self, capsys, value):
+        code, out, err = run_cli(capsys, ["obstruct-chirally", "--lambda-w", value])
+        assert (code, out) == (2, "")
+        assert err.endswith(f": error: argument --lambda-w: {self.LINE}\n")
+        assert "1111" not in err and len(err) < 300
+
+    @pytest.mark.parametrize("value", ["x", "1/0", "1/x", "1//2", ""])
+    def test_malformed_rational_message_is_unchanged(self, capsys, value):
+        code, out, err = run_cli(capsys, ["obstruct-chirally", "--lambda-w", value])
+        assert (code, out) == (2, "")
+        line = f"cosmo obstruct-chirally: error: argument --lambda-w: not an exact rational: {value!r}"
+        assert err.splitlines()[-1] == line
+
+    def test_matrix_entry_past_the_limit_is_one_line(self, capsys, tmp_path):
+        mat = tmp_path / "wide.mat"
+        mat.write_text(f"2\n0 {self.WIDE}\n0 0\n")
+        code, out, err = run_cli(capsys, ["tau", "--matrix", str(mat), "--slope", "1/1"])
+        assert (code, out, err) == (2, "", f"error: line 2: {self.LINE}\n")
+        assert len(err) < 300
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("2\n0 x\n0 0\n", "line 2: expected integers, got '0 x'"),
+            ("2\n0 1.5\n0 0\n", "line 2: expected integers, got '0 1.5'"),
+            ("x\n", "line 1: expected integers, got 'x'"),
+            ("2 2\n", "line 1: first line must be the size, a single integer >= 0"),
+        ],
+        ids=["word", "decimal", "size-word", "size-pair"],
+    )
+    def test_malformed_matrix_message_is_unchanged(self, capsys, tmp_path, text, line):
+        mat = tmp_path / "bad.mat"
+        mat.write_text(text)
+        assert run_cli(capsys, ["tau", "--matrix", str(mat), "--slope", "1/1"]) == (2, "", f"error: {line}\n")
+
     def test_integers_at_the_limit_are_read(self, capsys):
         p = 10 ** (self.LIMIT - 1) + 1  # LIMIT digits
         assert parse_args(["dedekind", "--p", str(p), "--q", "3"]).options["p"] == p
@@ -706,3 +761,20 @@ class TestTauBudget:
         mat = tmp_path / "zero.mat"
         mat.write_text(f"{n}\n" + f"{' '.join(['0'] * n)}\n" * n)
         assert run_cli(capsys, ["tau", "--matrix", str(mat), "--slope", "1/1"]) == (2, "", err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--torus2", "101", "--slope", "-1/1"], ["--torus2", "99", "--slope", "-1/1"], ["--slope", "0/1"]],
+        ids=["catalog-past-budget", "catalog-within-budget", "matrix-past-budget"],
+    )
+    def test_slope_range_is_checked_before_the_charge(self, capsys, tmp_path, argv):
+        # a call outside tau's range gets that reason, whatever its size
+        if "--torus2" not in argv:
+            mat = tmp_path / "zero.mat"
+            mat.write_text("100\n" + f"{' '.join(['0'] * 100)}\n" * 100)
+            argv = ["--matrix", str(mat), *argv]
+        assert run_cli(capsys, ["tau", *argv]) == (
+            2,
+            "",
+            "error: formula applied outside its stated range (needs p > 0)\n",
+        )
