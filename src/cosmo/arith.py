@@ -163,8 +163,12 @@ def _twelve_s(p: int, q: int) -> tuple[int, int]:
 
     Evenness in the modulus sign and periodicity in the first argument are
     applied first, and every integer in the Euclidean steps is at most k.
+
+    The caller guarantees q != 0 and gcd(p, q) = 1: ``dedekind_sum_fast``
+    checks its raw integers first, and the other callers pass the two fields
+    of a ``Slope``, which are coprime with q > 0 by construction
+    (``casson_boyer_lines`` passes them swapped, after refusing p = 0).
     """
-    _require_coprime(p, q)
     k = abs(q)
     if k == 1:
         return 0, 1
@@ -183,6 +187,7 @@ def dedekind_sum_fast(p: int, q: int) -> Fraction:
     6 q s(p, q) is an integer (Rademacher-Grosswald, *Dedekind Sums*, ch. 3),
     which the surgery formula relies on.
     """
+    _require_coprime(p, q)
     num, den = _twelve_s(p, q)
     return Fraction(num, 12 * den)
 
@@ -212,6 +217,8 @@ def v3(inv: LinkSurgeryInvariants) -> Fraction:
 
 
 def _check_pretzel(a: int, b: int) -> None:
+    if not (isinstance(a, int) and isinstance(b, int)):
+        raise ValueError(f"pretzel parameters must be integers, got a={a!r}, b={b!r}")
     if a < 1:
         raise ValueError(f"pretzel parameter a must be >= 1, got {a}")
     if b == 0:

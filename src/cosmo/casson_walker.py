@@ -17,6 +17,12 @@ builds one term ``Fraction`` and adds the ambient value to it.
 Both normalizations are carried: lambda_w (Walker) is twice lambda (Casson),
 and SurgeryResult stores the pair so no caller needs to re-derive one from
 the other.
+
+``casson_walker_link_surgery`` builds its ``SurgeryResult`` without the
+constructor's checks, because each holds by construction: ``_signature``
+refuses a zero determinant and returns only -2, 0 or 2, and lambda_w and
+lambda are built from the same numerator and denominator.  The public
+constructor, ``_make`` and ``_replace`` keep every check for other callers.
 """
 
 from __future__ import annotations
@@ -123,20 +129,21 @@ def casson_walker_link_surgery(
     q S(p/q) = 12 q s(p, q) is one (Rademacher-Grosswald, *Dedekind Sums*,
     ch. 3).  With dn = det qx qy, lambda_w = (n + 3 sigma qx qy dn) / (12 qx qy dn).
     """
-    if not all(isinstance(x, int) for x in inv):
+    a2_x, a2_y, a3, lk = inv
+    if not (isinstance(a2_x, int) and isinstance(a2_y, int) and isinstance(a3, int) and isinstance(lk, int)):
         raise ValueError(f"link invariants must be integers, got {inv!r}")
-    px, qx, py, qy, lk = sx.p, sx.q, sy.p, sy.q, inv.lk
+    px, qx, py, qy = sx.p, sx.q, sy.p, sy.q
     qx2, qy2, lk2 = qx * qx, qy * qy, lk * lk
     dn = px * py - lk2 * qx * qy
     sigma = _signature(dn, px * qy + py * qx)  # det and trace times qx qy > 0
-    v3_24 = 12 * (-inv.a3 + (inv.a2_x + inv.a2_y) * lk) + lk * lk2 - lk  # 24 v3, as in arith.v3
+    v3_24 = 12 * (-a3 + (a2_x + a2_y) * lk) + lk * lk2 - lk  # 24 v3, as in arith.v3
     (qs_x, _), (qs_y, _) = _twelve_s(px, qx), _twelve_s(py, qy)  # q S(p/q), as q > 0
     n = (
-        24 * inv.a2_x * py * qy * qx2  # a2_x py/qy
+        24 * a2_x * py * qy * qx2  # a2_x py/qy
         - py * qy * qx2  # - py/(24 qy)
         - py * qy  # - py/(24 qy qx^2)
         + py * lk2 * qy * qx2  # + py lk^2/(24 qy)
-        + 24 * inv.a2_y * px * qx * qy2  # + a2_y px/qx
+        + 24 * a2_y * px * qx * qy2  # + a2_y px/qx
         - px * qx * qy2  # - px/(24 qx)
         - px * qx  # - px/(24 qx qy^2)
         + px * lk2 * qx * qy2  # + px lk^2/(24 qx)
@@ -144,9 +151,9 @@ def casson_walker_link_surgery(
         + dn * (qy * qs_x - px * qy + qx * qs_y - py * qx)  # + (det/24)(S(sx) - px/qx + S(sy) - py/qy)
     )
     num, den = n + 3 * sigma * qx * qy * dn, 12 * qx * qy * dn
-    return SurgeryResult(
-        lambda_w=Fraction(num, den), D=Fraction(dn, qx * qy), sigma=sigma, lambda_=Fraction(num, 2 * den)
-    )
+    # _signature refused dn = 0 and returned -2, 0 or 2, and both
+    # normalizations come from one num/den: every check of SurgeryResult holds
+    return tuple.__new__(SurgeryResult, (Fraction(num, den), Fraction(dn, qx * qy), sigma, Fraction(num, 2 * den)))
 
 
 def casson_boyer_lines(lambda_sigma: Fraction, delta2: int, s: Slope) -> Fraction:

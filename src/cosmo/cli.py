@@ -44,11 +44,32 @@ def _slope(text: str) -> Slope:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _rational(text: str) -> Fraction:
+# Fraction's exponent form, groups integer part, decimal part and exponent;
+# compiled on the first --lambda-w, not on import
+_EXPONENT_FORM = r"\s*[+-]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?[eE]([+-]?\d+(?:_\d+)*)\s*"
+
+
+def _written_out_fits(form: re.Match) -> bool:
+    """Whether the integer and decimal parts of an exponent form's value,
+    written out without the exponent, are within Python's int() limit."""
+    limit = sys.get_int_max_str_digits()
+    whole, decimal, exp = ((g or "").replace("_", "") for g in form.groups())
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        pass
+        e = int(exp)
+    except ValueError:  # the exponent itself is past the limit
+        return False
+    return not limit or (len(whole) + e <= limit and len(decimal) - e <= limit)
+
+
+def _rational(text: str) -> Fraction:
+    # Fraction builds 10**|e| for an exponent e, so an exponent form is read
+    # only within the limit the same value written out has
+    form = re.fullmatch(_EXPONENT_FORM, text)
+    if form is None or _written_out_fits(form):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
     # a numerator, denominator, decimal or exponent too long for int() is
     # reported by its length, as _int reports an integer
     for part in re.split(r"[/.eE]", text):
@@ -58,6 +79,11 @@ def _rational(text: str) -> Fraction:
             raise argparse.ArgumentTypeError(str(exc)) from None
         except ValueError:
             pass
+    if form:
+        limit = sys.get_int_max_str_digits()
+        raise argparse.ArgumentTypeError(
+            f"exponent too large: written out, the value has more digits than Python's int() limit of {limit}"
+        )
     raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
 
 

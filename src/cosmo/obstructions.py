@@ -12,6 +12,15 @@ a candidate only when it is a literal integer root.  Each evidence
 no meaningful candidate set (the scalar tests, when silent), the field is
 None rather than an empty tuple; an empty tuple always means "everything is
 ruled out".
+
+``purely_cosmetic_quadratic`` and ``pretzel_analysis`` build their
+``ObstructionReport`` without the constructor's checks, because each holds
+by construction: ``_positive_integer_roots`` returns sorted, distinct,
+positive integers, the verdict is read off whether there are any, and the
+evidence is ints and ``Fraction``s (a float input raises in ``Fraction``
+before any report exists).  The scalar tests keep the public constructor,
+since their evidence holds the caller's own values, which it checks are
+exact; so do ``_make`` and ``_replace``.
 """
 
 from __future__ import annotations
@@ -178,7 +187,7 @@ def purely_cosmetic_quadratic(inv: LinkSurgeryInvariants, s0: Slope) -> Obstruct
     """
     if inv.lk != 0:
         raise ValueError("candidate test requires linking number zero")
-    return ObstructionReport(*_quadratic(inv.a2_x, inv.a3, s0))
+    return tuple.__new__(ObstructionReport, _quadratic(inv.a2_x, inv.a3, s0))
 
 
 def purely_cosmetic_obstruction_thm4(a2K: int, q0: int, a3L: int) -> ObstructionReport:
@@ -222,4 +231,4 @@ def pretzel_analysis(a: int, b: int, s0: Slope) -> ObstructionReport:
     verdict, candidates, evidence, narrative = _quadratic(0, a3, s0)  # the first component is the unknot
     evidence = (("a2_unknot_component", 0), ("a2_knot_component", a2_knot), ("a3_whole_link", a3)) + evidence
     prefix = f"pretzel with twist counts ({2 * a + 1}, {2 * b}, {2 * b}): "
-    return ObstructionReport(verdict, candidates, evidence, prefix + narrative)
+    return tuple.__new__(ObstructionReport, (verdict, candidates, evidence, prefix + narrative))

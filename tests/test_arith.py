@@ -105,6 +105,10 @@ class TestDedekindSum:
             dedekind_sum_naive(2, 4)
         with pytest.raises(ValueError):
             dedekind_sum_fast(6, 9)
+        with pytest.raises(ValueError, match=r"Dedekind sum needs gcd\(p, q\) = 1, got p=4, q=6"):
+            dedekind_sum_fast(4, 6)
+        with pytest.raises(ValueError, match="Dedekind sum needs a nonzero modulus q"):
+            dedekind_sum_fast(1, 0)
 
     @given(coprime_pairs)
     def test_fast_matches_naive(self, pq):

@@ -657,6 +657,28 @@ class TestOversizeIntegers:
         assert err.endswith(f": error: argument --lambda-w: {self.LINE}\n")
         assert "1111" not in err and len(err) < 300
 
+    @pytest.mark.parametrize("value", ["1e5000", "1e-5000", f"1e{LIMIT}", f"0e{LIMIT}", f"1e-{LIMIT + 1}"])
+    def test_exponent_past_the_limit_is_one_line(self, capsys, value):
+        # Fraction would build 10**e first: an exponent form gets the limit
+        # of the same value written out, checked before anything is built
+        code, out, err = run_cli(capsys, ["obstruct-chirally", "--lambda-w", value])
+        assert (code, out) == (2, "")
+        line = (
+            "cosmo obstruct-chirally: error: argument --lambda-w: exponent too large: "
+            f"written out, the value has more digits than Python's int() limit of {self.LIMIT}"
+        )
+        assert err.splitlines()[-1] == line and len(line) < 300
+
+    @pytest.mark.parametrize(
+        "value",
+        [f"1e{LIMIT - 1}", f"2.5e{LIMIT - 1}", f"7e-{LIMIT}", f"0.{'0' * (LIMIT - 1)}1e0"],
+        ids=["integer", "decimal", "negative", "zero-exponent"],
+    )
+    def test_exponent_at_the_limit_is_read(self, capsys, value):
+        assert parse_args(["obstruct-chirally", "--lambda-w", value]).options["lambda_w"] == Fraction(value)
+        code, out, _ = run_cli(capsys, ["obstruct-chirally", "--lambda-w", value])
+        assert code == 0 and out.startswith("verdict: obstructed\n")
+
     @pytest.mark.parametrize("value", ["x", "1/0", "1/x", "1//2", ""])
     def test_malformed_rational_message_is_unchanged(self, capsys, value):
         code, out, err = run_cli(capsys, ["obstruct-chirally", "--lambda-w", value])

@@ -84,6 +84,14 @@ class TestScalarObstructions:
         with pytest.raises(ValueError):
             purely_cosmetic_obstruction_thm4(1, 0, 1)
 
+    def test_inexact_inputs_are_refused(self):
+        # the scalar reports hold the caller's values, so they keep the
+        # constructor's exactness check
+        with pytest.raises(ValueError, match="must be exact"):
+            purely_cosmetic_obstruction_bl(0.5)
+        with pytest.raises(ValueError, match="must be exact"):
+            purely_cosmetic_obstruction_thm4(1.5, 1, 0)
+
 
 class TestChirallyCosmetic:
     def test_zero_a2_family(self):
@@ -300,3 +308,10 @@ class TestPretzelAnalysis:
             pretzel_analysis(1, 0, Slope(-1, 1))
         with pytest.raises(ValueError):
             pretzel_analysis(1, 1, Slope(0, 1))
+
+    @pytest.mark.parametrize("a, b", [(Fraction(3, 2), 1), (1, 1.0), (2.5, 1)])
+    def test_non_integer_parameters_are_refused(self, a, b):
+        with pytest.raises(ValueError, match="pretzel parameters must be integers"):
+            pretzel_analysis(a, b, Slope(1, 1))
+        with pytest.raises(ValueError, match="pretzel parameters must be integers"):
+            pretzel_a3_closed_form(a, b)
