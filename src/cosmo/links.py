@@ -39,19 +39,29 @@ on its under-strand before its over-strand is bad, and the first bad crossing
 met is the branch site: it gets switched in one child and replaced by the
 oriented smoothing in the other, and nabla(D) = nabla(switched) + sign * z *
 nabla(smoothed).  Fully descending diagrams are stacked unknots: value 1 for
-one component, 0 for two or more.  Results are memoized on a canonical
-serialization of the diagram: arcs renumbered 1..N in traversal order from the
-base points, then the crossings sorted.  Equal keys mean the same diagram up to
-arc names, and the memoized polynomial is a link invariant.  That numbering is
-the walk's visiting order, so a crossing is bad exactly when its under-in arc
-is numbered below its over-in arc, and the branch site is the bad crossing
-whose under-in arc is numbered lowest; the pass that builds the key finds it,
-and nothing walks the arcs.  A switched child has its parent's arcs and
-numbering, so its key and its bad crossings are its parent's with one record
-replaced.  Each switch on a path removes a bad crossing and each smoothing a
-crossing, so the recursion is at most (n + 1)(n + 2)/2 calls deep on n
-crossings.  Shared memo tables only ever see atomic dict lookups and stores,
-so concurrent readers are safe.  One call takes a diagram of at most
+one component, 0 for two or more.  This holds for any base points and any
+component order, since nabla is a link invariant, so the recursion chooses
+them: the root and every smoothed child are first re-read from the base
+points that leave the fewest bad crossings, and with at most 3 components
+in the order that does (``_placed``; a tie keeps the listed choice).  A
+switched child keeps its parent's reading, and that reading stays a best
+one: switching the branch site changes the status of that one crossing
+only, so the parent's count drops by exactly one and no other reading's
+count drops by more.
+
+Results are memoized on a canonical serialization of the diagram: arcs
+renumbered 1..N in traversal order from the base points, then the crossings
+sorted.  Equal keys mean the same diagram up to arc names, and the memoized
+polynomial is a link invariant.  That numbering is the walk's visiting order,
+so a crossing is bad exactly when its under-in arc is numbered below its
+over-in arc, and the branch site is the bad crossing whose under-in arc is
+numbered lowest; the pass that builds the key finds it, and nothing walks the
+arcs.  A switched child has its parent's arcs and numbering, so its key and
+its bad crossings are its parent's with one record replaced.  Each switch on
+a path removes a bad crossing and each smoothing a crossing, so the
+recursion is at most (n + 1)(n + 2)/2 calls deep on n crossings.  Shared
+memo tables only ever see atomic dict lookups and stores, so concurrent
+readers are safe.  One call takes a diagram of at most
 ``SKEIN_CROSSING_LIMIT`` crossings and expands at most ``SKEIN_NODE_BUDGET``
 skein nodes; past either it raises ``DiagramError``.
 
@@ -65,7 +75,7 @@ the base point).  Blank lines and ``#`` comments are ignored.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from itertools import chain
+from itertools import accumulate, chain, permutations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 # the surgery-formula records and the pretzel closed form live in arith, the
@@ -98,7 +108,7 @@ __all__ = [
 # Together these bound one conway_polynomial call: the crossing cap bounds the
 # time and memory of each skein node (switch/smooth branching), the budget the
 # number of nodes.  The costliest diagram the tests, scripts and benchmark
-# evaluate, the (3, 3) pretzel link, has 19 crossings and expands 964 nodes.
+# evaluate, the (3, 3) pretzel link, has 19 crossings and expands 657 nodes.
 SKEIN_CROSSING_LIMIT = 40
 SKEIN_NODE_BUDGET = 100_000
 
@@ -382,7 +392,9 @@ class LinkDiagram:
         It is the bad crossing whose under-in arc is numbered lowest in the
         numbering ``canonical_key`` uses, and the key's pass finds it; the
         skein recursion keys every node before it asks.  A switched child's
-        comes from its parent's.  None on a descending diagram.
+        comes from its parent's.  None on a descending diagram.  Like the key,
+        it is relative to the listed base points and component order; the
+        recursion chooses those before it asks.
         """
         if self._bads is None:
             self._scan()
@@ -391,7 +403,9 @@ class LinkDiagram:
     def canonical_key(self):
         """Arcs renumbered in traversal order from the base points, crossings sorted.
 
-        The pass that renumbers the records also finds the branch site.  A
+        The key is relative to the listed base points and component order:
+        the same diagram read from other base points has another key.  The
+        pass that renumbers the records also finds the branch site.  A
         switched child's key is its parent's sorted records with the switched
         crossing's record replaced, not rebuilt.
         """
@@ -578,6 +592,71 @@ def _over_budget(budget: int) -> DiagramError:
     return DiagramError(f"diagram too costly for skein oracle: more than {budget} skein nodes expanded")
 
 
+def _placed(d: LinkDiagram) -> LinkDiagram:
+    """The diagram re-read from the base points and cycle order that leave the fewest bad crossings.
+
+    With arcs numbered in traversal order, a self-crossing whose under-in arc
+    is numbered nu and whose over-in arc no is bad exactly for the base
+    points no+1..nu of its cycle, read cyclically.  The prefix sums of one
+    difference array over the numbering, +1 at no+1 and -1 at nu+1, count
+    every base point's bad self-crossings on each cycle's slice, less the
+    number of that cycle's ranges that wrap past its end: a constant per
+    cycle, which does not move its minimum.  A crossing between two cycles
+    is bad exactly when its under-strand's cycle comes first, whatever the
+    base points, so the two choices are made apart.  Each cycle starts at
+    its first best base point, and with at most 3 cycles every order is
+    tried (past that the listed order stays); a tie keeps the listed base
+    point or order.  The numbering of the new reading goes to the result,
+    so keying it does not build it again.
+    """
+    comps = d.components
+    k = len(comps)
+    pos = {arc: n for n, arc in enumerate(chain.from_iterable(comps), 1)}
+    marks = [0] * (len(pos) + 2)
+    if k == 1:
+        for a, b, _, dd, sign in d.crossings:
+            marks[pos[dd if sign > 0 else b] + 1] += 1
+            marks[pos[a] + 1] -= 1
+    else:
+        cycle = [ci for ci, cyc in enumerate(comps) for _ in cyc]  # the arc numbered n is on cycle[n - 1]
+        between = [0] * (k * k)  # [u * k + o]: crossings under on cycle u, over on cycle o
+        for a, b, _, dd, sign in d.crossings:
+            nu, no = pos[a], pos[dd if sign > 0 else b]
+            cu, co = cycle[nu - 1], cycle[no - 1]
+            if cu == co:
+                marks[no + 1] += 1
+                marks[nu + 1] -= 1
+            else:
+                between[cu * k + co] += 1
+    counts = list(accumulate(marks))
+    placed, moved, end = [], False, 1
+    for cyc in comps:
+        start = end
+        end += len(cyc)
+        span = counts[start:end]
+        s = span.index(min(span))
+        if s:
+            cyc = cyc[s:] + cyc[:s]
+            moved = True
+        placed.append(cyc)
+    if k == 2:
+        if between[2] < between[1]:
+            placed.reverse()
+            moved = True
+    elif k == 3:
+
+        def bad(p):
+            return between[3 * p[0] + p[1]] + between[3 * p[0] + p[2]] + between[3 * p[1] + p[2]]
+
+        order = min(permutations(range(3)), key=bad)
+        if order != (0, 1, 2):
+            placed = [placed[i] for i in order]
+            moved = True
+    if moved:
+        pos = {arc: n for n, arc in enumerate(chain.from_iterable(placed), 1)}
+    return object.__new__(LinkDiagram)._assemble(d.crossings, tuple(placed), d._head_map, None, pos)
+
+
 # One frame per node on a root-to-leaf path.  Switching the branch site removes
 # one bad crossing and smoothing removes one crossing, so at k crossings a path
 # makes at most k switches before it smooths: at most (n + 1)(n + 2)/2 frames,
@@ -597,7 +676,7 @@ def _resolve(d: LinkDiagram, memo: dict, expanded: list[int]) -> dict:
         if expanded[0] > SKEIN_NODE_BUDGET:
             raise _over_budget(SKEIN_NODE_BUDGET)
         # smoothing first builds the arc indexes the switched child shares
-        smoothed = _shift_scale(_resolve(d.smooth_crossing(bad), memo, expanded), d.crossings[bad].sign)
+        smoothed = _shift_scale(_resolve(_placed(d.smooth_crossing(bad)), memo, expanded), d.crossings[bad].sign)
         value = _add(_resolve(d.switch_crossing(bad), memo, expanded), smoothed)
     memo[key] = value
     return value
@@ -613,7 +692,7 @@ def conway_polynomial(d: LinkDiagram, *, memo: dict | None = None) -> ConwayPoly
     """
     if len(d.crossings) > SKEIN_CROSSING_LIMIT:
         raise _too_large(len(d.crossings))
-    return ConwayPoly(_resolve(d, {} if memo is None else memo, [0]))
+    return ConwayPoly(_resolve(_placed(d), {} if memo is None else memo, [0]))
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,24 @@ class TestLinkSurgery:
         assert link_route == lambda_w_from_lambda(knot_route)
 
 
+class TestSlamDunk:
+    def test_knot_with_a_meridian(self):
+        # K with a meridian of linking number eps has invariants
+        # (a2(K), 0, eps a2(K), eps), and n on K with r on the meridian is
+        # n - 1/r on K alone; the knot formula takes delta2 = 2 a2
+        rng = random.Random(2102)
+        checked = 0
+        while checked < 600:
+            a2, eps, n = rng.randint(-6, 6), rng.choice((1, -1)), rng.randint(-15, 15)
+            r = Slope(rng.choice([p for p in range(-30, 31) if p]), rng.randint(1, 12))
+            if n * r.p == r.q:  # the framing matrix is singular
+                continue
+            inv = LinkSurgeryInvariants(a2_x=a2, a2_y=0, a3=eps * a2, lk=eps)
+            knot_route = casson_boyer_lines(Fraction(0), 2 * a2, Slope(n * r.p - r.q, r.p))
+            assert casson_walker_link_surgery(inv, Slope(n), r).lambda_w == 2 * knot_route, (inv, n, r)
+            checked += 1
+
+
 def ten_term_fraction_route(inv, sx, sy):
     """The surgery formula as a sum of ten Fraction terms, kept as an oracle.
 

@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -800,3 +801,101 @@ class TestTauBudget:
             "",
             "error: formula applied outside its stated range (needs p > 0)\n",
         )
+
+
+class TestNoTraceback:
+    """Seeded random calls of every subcommand: each ends in an exit code, never an exception."""
+
+    @staticmethod
+    def files(tmp_path, rng):
+        """A few PD and Seifert matrix files: valid, inconsistent, non-planar and garbled."""
+        from cosmo.links import braid_closure, format_pd, pretzel_diagram
+
+        pds = [
+            format_pd(braid_closure([rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(6)], 4)) for _ in range(3)
+        ]
+        pds += [format_pd(pretzel_diagram(1, -1)), "X 1,2,1,2 +\nC 1\nC 2\n", "X 2,4,3,1 +\nX 4,2,1,3 +\nC 1,2,3,4\n"]
+        pds += ["X 1,2,3 +\n", "C 1,2\n", "", "X 2,4,3,1 *\n", "X a,b,c,d +\n"]
+        pds.append("".join(f"X {','.join(str(rng.randint(1, 8)) for _ in range(4))} +\n" for _ in range(4)))
+        mats = ["2\n-1 1\n0 -1\n", "2\n-3 -4\n-5 -7\n", "1\n0\n", "2\n1 0\n0 1\n", "", "2\n1 x\n0 1\n", "3\n1 2\n"]
+        mats.append(f"2\n{rng.randint(-5, 5)} {rng.randint(-5, 5)}\n{rng.randint(-5, 5)} {rng.randint(-5, 5)}\n")
+        paths = {"pd": [], "mat": []}
+        for kind, texts in (("pd", pds), ("mat", mats)):
+            for i, text in enumerate(texts):
+                path = tmp_path / f"{kind}{i}.txt"
+                path.write_text(text)
+                paths[kind].append(str(path))
+        paths["pd"].append(str(tmp_path / "missing.pd"))
+        return paths
+
+    def test_seeded_calls(self, capsys, tmp_path):
+        rng = random.Random(2103)
+        paths = self.files(tmp_path, rng)
+
+        def integer():
+            if rng.random() < 0.1:
+                return rng.choice(["x", "", "1.5", "9" * 30])
+            return str(rng.randint(-12, 31))
+
+        def slope():
+            if rng.random() < 0.1:
+                return rng.choice(["1/0", "x/y", "0", "2//3"])
+            return f"{rng.randint(-12, 31)}/{rng.randint(1, 9)}"
+
+        def word():
+            letters = range(rng.randint(0, 8))
+            return ",".join(str(rng.choice((1, -1)) * rng.randint(0 if rng.random() < 0.05 else 1, 3)) for _ in letters)
+
+        def pick(*choices):
+            return lambda: rng.choice(choices)
+
+        # each subcommand's ways of being called, as {flag: value maker}; None marks a switch
+        modes = {
+            "dedekind": [{"--p": integer, "--q": integer}],
+            "conway": [{"--pd": pick(*paths["pd"])}, {"--braid": word, "--strands": pick("4", "5", "6", "2", "x")}],
+            "lambda": [{f: integer for f in ("--lk", "--a2x", "--a2y", "--a3")} | {"--sx": slope, "--sy": slope}],
+            "tau": [
+                {"--matrix": pick(*paths["mat"]), "--slope": slope},
+                {"--torus2": pick("3", "5", "7", "4", "1", "-3"), "--slope": slope},
+                {"--unknot": None, "--slope": slope},
+            ],
+            "obstruct-purely": [
+                {"--delta2": integer},
+                {"--a2": integer, "--q0": integer, "--a3": integer},
+                {"--a2x": integer, "--a2y": integer, "--a3": integer, "--s0": slope, "--lk": pick("0", "0", "1")},
+            ],
+            "obstruct-chirally": [
+                {"--lambda-w": pick("1/18", "0", "-3/4", "2.5", "1e3", "x", "1/0", "7")},
+                {"--a2": integer, "--p0": integer},
+            ],
+            "pretzel": [
+                {"--a": pick("1", "2", "3", "0", "-1"), "--b": pick("1", "-1", "2", "-2", "0"), "--slope": slope}
+            ],
+            "selftest": [{}],
+        }
+        every = {name: {f: v for mode in ways for f, v in mode.items()} for name, ways in modes.items()}
+        codes = {0: 0, 2: 0}
+        for _ in range(300):
+            name = rng.choice(sorted(modes))
+            chosen = dict(rng.choice(modes[name]))
+            if rng.random() < 0.15 and every[name]:  # a flag of another mode, or one left out
+                extra = rng.choice(sorted(every[name]))
+                chosen[extra] = every[name][extra]
+            argv = [name]
+            for flag, value in chosen.items():
+                if rng.random() < 0.93:
+                    argv += [flag] if value is None else [flag, value()]
+            if name != "selftest" and rng.random() < 0.3:
+                argv += ["--format", rng.choice(["json", "text", "json", "xml"])]
+            code = main(argv)
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2), argv
+            codes[code] = codes.get(code, 0) + 1
+            if code == 0:
+                assert err == "" and out, argv
+                continue
+            # one diagnostic line, last; argparse puts its usage lines before it
+            lines = err.splitlines()
+            assert err.endswith("\n") and [line for line in lines if "error:" in line] == lines[-1:], argv
+            assert lines[0].startswith("usage: ") or len(lines) == 1, argv
+        assert codes[0] > 100 and codes[2] > 100, codes
