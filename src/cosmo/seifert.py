@@ -5,7 +5,9 @@ with a kernel of its own on list rows.  The determinant route to the Conway
 polynomial evaluates det(y S - S^T) once, at a power of two y = 2^B wide
 enough that the integer coefficients are its balanced base-2^B digits
 (Kronecker substitution), by dense elimination (``_det``), and rewrites
-det(x S - x^-1 S^T) in z = x - x^-1.  It is deliberately independent of the
+det(x S - x^-1 S^T) in z = x - x^-1.  f is evaluated once per matrix: the
+polynomial is kept on the ``SeifertMatrix``, whose entries are read-only, and
+Delta''(1) reads it from there.  The route is deliberately independent of the
 skein recursion in ``links`` so the two can check each other.  The total
 signature over the p-th roots of unity, which is all that surgery tau needs,
 is the signature of one symmetric integer form of size n(p-1), read off the
@@ -65,9 +67,13 @@ TAU_WORK_BUDGET = 1_000_000
 
 
 class SeifertMatrix:
-    """Square integer matrix of strand linkings; size 0 is the unknot."""
+    """Square integer matrix of strand linkings; size 0 is the unknot.
 
-    __slots__ = ("entries",)
+    ``entries`` is read-only, so the Conway polynomial that
+    ``conway_from_seifert`` keeps on the matrix cannot go stale.
+    """
+
+    __slots__ = ("_entries", "_conway")
 
     def __init__(self, entries: Iterable[Iterable[int]]) -> None:
         rows = tuple(tuple(row) for row in entries)
@@ -78,26 +84,31 @@ class SeifertMatrix:
             for v in row:
                 if not isinstance(v, int):
                     raise ValueError(f"entry {v!r} is not an integer")
-        self.entries = rows
+        self._entries = rows
+        self._conway: ConwayPoly | None = None
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        return self._entries
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self._entries)
 
     def transpose(self) -> "SeifertMatrix":
         n = self.size
-        return SeifertMatrix(tuple(tuple(self.entries[j][i] for j in range(n)) for i in range(n)))
+        return SeifertMatrix(tuple(tuple(self._entries[j][i] for j in range(n)) for i in range(n)))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SeifertMatrix):
-            return self.entries == other.entries
+            return self._entries == other._entries
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash(self._entries)
 
     def __repr__(self) -> str:
-        return f"SeifertMatrix({[list(r) for r in self.entries]!r})"
+        return f"SeifertMatrix({[list(r) for r in self._entries]!r})"
 
 
 def seifert_torus2(n: int) -> SeifertMatrix:
@@ -258,6 +269,20 @@ def _laurent_to_z(laurent: dict[int, int]) -> dict[int, int]:
 def conway_from_seifert(s: SeifertMatrix) -> ConwayPoly:
     """Conway polynomial via det(x S - x^-1 S^T), rewritten in z = x - x^-1.
 
+    The first call on a matrix evaluates it (``_conway``) and keeps the
+    polynomial on the matrix, whose entries are read-only; every later call,
+    ``alexander_second_derivative``'s included, returns it.  A failed
+    evaluation keeps nothing, so it fails again on the next call.
+    """
+    nabla = s._conway
+    if nabla is None:
+        nabla = s._conway = _conway(s.entries)
+    return nabla
+
+
+def _conway(e: tuple[tuple[int, ...], ...]) -> ConwayPoly:
+    """Conway polynomial of the Seifert matrix with rows ``e``.
+
     det(x S - x^-1 S^T) = x^-n f(x^2) for f(y) = det(y S - S^T), of degree at
     most n, and f is evaluated once, at y = 2^B (Kronecker substitution).
     Its coefficient c_k of y^k is a signed sum, over permutations sigma, of
@@ -272,10 +297,9 @@ def conway_from_seifert(s: SeifertMatrix) -> ConwayPoly:
     """
     from .links import ConwayPoly  # here, so that tau alone does not load links
 
-    n = s.size
+    n = len(e)
     if n == 0:
         return ConwayPoly.one()
-    e = s.entries
     bound = math.prod(sum(abs(e[i][j]) + abs(e[j][i]) for j in range(n)) for i in range(n))
     shift = bound.bit_length() + 1
     value = _det([[(e[i][j] << shift) - e[j][i] for j in range(n)] for i in range(n)])
@@ -293,7 +317,10 @@ def alexander_second_derivative(s: SeifertMatrix) -> int:
 
     Delta(t) = sum_k a_2k (t - 2 + 1/t)^k, and (t - 2 + 1/t)^k = (t - 1)^(2k) / t^k
     vanishes to order 2k at t = 1, so only the k = 1 term has a second
-    derivative there: Delta''(1) = 2 a_2.
+    derivative there: Delta''(1) = 2 a_2.  It reads the Conway polynomial
+    that ``conway_from_seifert`` keeps on the matrix, so f(y) is evaluated
+    once per matrix whichever of the two runs first; the knot check runs on
+    every call.
     """
     nabla = conway_from_seifert(s)
     if nabla.coefficient(0) != 1:
@@ -352,14 +379,11 @@ def levine_tristram_signature(s: SeifertMatrix, omega: complex) -> int:
     omega = complex(omega)
     if not abs(abs(omega) - 1.0) <= 1e-12:
         raise ValueError(f"omega must lie on the unit circle, got |omega| = {abs(omega)!r}")
-    n = s.size
+    n, e = s.size, s.entries
     if n == 0:
         return 0
     u, v = 1.0 - omega, 1.0 - omega.conjugate()
-    herm = [
-        [u * s.entries[i][j] + v * s.entries[j][i] for j in range(n)]
-        for i in range(n)
-    ]
+    herm = [[u * e[i][j] + v * e[j][i] for j in range(n)] for i in range(n)]
     norm = max(sum(abs(x.real) + abs(x.imag) for x in row) for row in herm)
     tol = _ZERO_TOL * norm
     spectrum = _jacobi_spectrum(herm)

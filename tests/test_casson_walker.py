@@ -175,6 +175,61 @@ class TestSlamDunk:
             checked += 1
 
 
+def minus_continued_fraction(r: Fraction) -> list[int]:
+    """[c1, c2, ...] with r = c1 - 1/(c2 - 1/(...)), taking c = ceil(r) at each step."""
+    out = []
+    while True:
+        out.append(math.ceil(r))
+        if r == out[-1]:
+            return out
+        r = 1 / (out[-1] - r)
+
+
+def chain_slope(chain: list[int]) -> tuple[int, int]:
+    """(P, Q) with P/Q = [a1, ..., aj]: the first column of the product of the [[a, -1], [1, 0]]."""
+    (p, p_next), (q, q_next) = (1, 0), (0, 1)
+    for a in chain:
+        p, p_next = p * a + p_next, -p
+        q, q_next = q * a + q_next, -q
+    return p, q
+
+
+class TestHopfChain:
+    def test_hopf_link_at_two_rational_slopes(self):
+        # r1 = [c1, ..., ck] and r2 = [d1, ..., dm] on the Hopf link is the
+        # linear chain [ck, ..., c1, d1, ..., dm] of unknots, that is P/Q on
+        # the unknot; Q = 0 gives S^3
+        rng = random.Random(2205)
+        cases = [(Slope(0), Slope(0), 1), (Slope(0), Slope(0), -1)]  # S^3
+        while len(cases) < 1700:
+            r1, r2 = (Slope(rng.randint(-25, 25), rng.randint(1, 9)) for _ in range(2))
+            cases.append((r1, r2, rng.choice((1, -1))))
+        checked = to_s3 = 0
+        for r1, r2, lk in cases:
+            p, q = chain_slope(minus_continued_fraction(r1.fraction)[::-1] + minus_continued_fraction(r2.fraction))
+            if p == 0:  # the framing matrix is singular
+                continue
+            inv = LinkSurgeryInvariants(a2_x=0, a2_y=0, a3=0, lk=lk)
+            lambda_w = casson_walker_link_surgery(inv, r1, r2).lambda_w
+            if q == 0:
+                assert lambda_w == 0, (r1, r2, lk)
+                to_s3 += 1
+            else:
+                assert lambda_w == 2 * casson_boyer_lines(Fraction(0), 0, Slope(p, q)), (r1, r2, lk)
+            checked += 1
+        assert checked > 1600 and to_s3 >= 10
+
+    def test_chain_helpers(self):
+        assert minus_continued_fraction(Fraction(7, 3)) == [3, 2, 2]  # 3 - 1/(2 - 1/2) = 7/3
+        assert minus_continued_fraction(Fraction(-5, 2)) == [-2, 2]
+        assert chain_slope([3, 2, 2]) == (7, 3) and chain_slope([0, 0]) == (-1, 0)
+        rng = random.Random(2206)
+        for _ in range(200):
+            r = Fraction(rng.randint(-40, 40), rng.randint(1, 15))
+            p, q = chain_slope(minus_continued_fraction(r))
+            assert Fraction(p, q) == r
+
+
 def ten_term_fraction_route(inv, sx, sy):
     """The surgery formula as a sum of ten Fraction terms, kept as an oracle.
 

@@ -25,6 +25,7 @@ from cosmo.seifert import (
     total_p_signature,
 )
 from cosmo.seifert import _det, _laurent_to_z, _sym_pivots
+import cosmo.seifert as seifert_module
 
 
 def hermitian_signature_2x2(s: SeifertMatrix, omega: complex) -> int:
@@ -95,6 +96,53 @@ def scrambled(rng: random.Random, s: SeifertMatrix, steps: int) -> SeifertMatrix
     return SeifertMatrix(
         [[sum(p[i][a] * e[a][b] * p[j][b] for a in range(n) for b in range(n)) for j in range(n)] for i in range(n)]
     )
+
+
+def torus2_sum(ks: tuple[int, ...]) -> SeifertMatrix:
+    """Block sum of the (2, k) torus-knot matrices: a Seifert matrix of their connected sum."""
+    blocks = [seifert_torus2(k).entries for k in ks]
+    n = sum(len(b) for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        rows += [[0] * at + list(row) + [0] * (n - at - len(b)) for row in b]
+        at += len(b)
+    return SeifertMatrix(rows)
+
+
+def seeded_torus2_sums(rng: random.Random, count: int) -> list[SeifertMatrix]:
+    """Unimodular scrambles of (2, k) torus sums of size at most 8."""
+    out = []
+    while len(out) < count:
+        ks = tuple(rng.choice((3, 5, 7, 9)) for _ in range(rng.randint(1, 3)))
+        n = sum(k - 1 for k in ks)
+        if n <= 8:
+            out.append(scrambled(rng, torus2_sum(ks), rng.randint(n, 3 * n)))
+    return out
+
+
+def second_derivative_by_trace(s: SeifertMatrix) -> int:
+    """Delta''(1) of a knot matrix by a route that shares nothing with the determinant one.
+
+    A = S - S^T is unimodular, and with M = A^-1 S, det(y S - S^T) =
+    det(A) det(I + (y - 1) M).  Expanding Delta(t) = t^(-n/2) det(t S - S^T)
+    to second order at t = 1 gives tr M = n/2 and Delta''(1) = n/2 - tr(M^2).
+    """
+    n, e = s.size, s.entries
+    # Gauss-Jordan on [A | S] over the rationals gives [I | M]
+    rows = [[Fraction(e[i][j] - e[j][i]) for j in range(n)] + [Fraction(v) for v in e[i]] for i in range(n)]
+    for k in range(n):
+        pivot = next(i for i in range(k, n) if rows[i][k])
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        rows[k] = [v / rows[k][k] for v in rows[k]]
+        for i in range(n):
+            if i != k and rows[i][k]:
+                rows[i] = [a - rows[i][k] * b for a, b in zip(rows[i], rows[k])]
+    m = [row[n:] for row in rows]
+    assert all(v.denominator == 1 for row in m for v in row), s  # A is unimodular
+    trace_m2 = sum(m[i][j] * m[j][i] for i in range(n) for j in range(n))
+    value = Fraction(n, 2) - trace_m2
+    assert value.denominator == 1, s
+    return int(value)
 
 
 def torus2_total_signature(n: int, p: int) -> int:
@@ -472,6 +520,22 @@ class TestSecondDerivative:
         with pytest.raises(ValueError, match="constant Conway coefficient 1"):
             alexander_second_derivative(SeifertMatrix([[1]]))
 
+    def test_matches_trace_route(self):
+        rng = random.Random(2202)
+        cases = [
+            SeifertMatrix([[-1, 1], [0, 1]]),  # figure-eight
+            SeifertMatrix([[10, 1], [0, -10]]),
+            SeifertMatrix([[2, 1], [0, 3]]),
+            SeifertMatrix([[-10831, -7463], [-7464, -5143]]),  # congruent to the trefoil's
+        ]
+        cases += seeded_torus2_sums(rng, 400)
+        # wide: long scrambles of small sums, entries past 32 bits
+        cases += [scrambled(rng, torus2_sum(ks), 40) for ks in [(3,), (5,), (3, 3), (3, 5), (7,)] * 4]
+        for s in cases:
+            assert alexander_second_derivative(s) == second_derivative_by_trace(s), s
+        assert [alexander_second_derivative(s) for s in cases[:4]] == [-2, -200, 12, 2]
+        assert max(abs(v) for s in cases[-20:] for row in s.entries for v in row).bit_length() > 32
+
     @settings(max_examples=80, deadline=None)
     @given(knot_matrix_strategy(2))
     def test_equals_twice_second_conway_coefficient(self, s):
@@ -485,6 +549,85 @@ class TestSecondDerivative:
         poly = conway_from_seifert(s)
         assert poly.coefficient(0) == 1
         assert alexander_second_derivative(s) == 2 * poly.coefficient(2)
+
+
+class TestStoredPolynomial:
+    """conway_from_seifert keeps its polynomial on the matrix; nothing else changes."""
+
+    @staticmethod
+    def counted_det(monkeypatch) -> list[int]:
+        """Record the size of every determinant the route evaluates."""
+        calls, real = [], seifert_module._det
+
+        def det(m):
+            calls.append(len(m))
+            return real(m)
+
+        monkeypatch.setattr(seifert_module, "_det", det)
+        return calls
+
+    def test_entries_are_read_only(self):
+        s = seifert_torus2(3)
+        with pytest.raises(AttributeError):
+            s.entries = ((1,),)
+        assert s.entries == ((-1, 1), (0, -1))
+
+    def test_both_orders_match_newton_and_a_fresh_matrix(self, monkeypatch):
+        calls = self.counted_det(monkeypatch)
+        cases = seeded_torus2_sums(random.Random(2203), 60)
+        for trial, s in enumerate(cases):
+            expected = newton_conway(s)
+            del calls[:]
+            if trial % 2:
+                d2, nabla = alexander_second_derivative(s), conway_from_seifert(s)
+            else:
+                nabla, d2 = conway_from_seifert(s), alexander_second_derivative(s)
+            assert conway_from_seifert(s) == nabla and alexander_second_derivative(s) == d2
+            assert calls == [s.size]  # f(y) is evaluated once for the matrix
+            fresh = SeifertMatrix(s.entries)
+            assert nabla == expected == conway_from_seifert(fresh), s
+            assert d2 == alexander_second_derivative(SeifertMatrix(s.entries)) == 2 * expected.coefficient(2), s
+
+    def test_returned_coefficients_are_a_copy(self):
+        s = seifert_torus2(5)
+        coefficients = conway_from_seifert(s).coefficients
+        coefficients[2] = 99
+        coefficients[6] = 1
+        assert conway_from_seifert(s) == ConwayPoly({0: 1, 2: 3, 4: 1})
+        assert alexander_second_derivative(s) == 6
+
+    def test_transpose_and_equal_matrices_keep_their_own(self, monkeypatch):
+        calls = self.counted_det(monkeypatch)
+        s = scrambled(random.Random(2204), torus2_sum((3, 5)), 12)
+        twin, flipped = SeifertMatrix(s.entries), s.transpose()
+        nabla = conway_from_seifert(s)
+        assert calls == [6]
+        assert twin == s and hash(twin) == hash(s)  # equality ignores what is kept
+        # det(x S^T - x^-1 S) is the transpose of det(x S - x^-1 S^T): same polynomial
+        assert conway_from_seifert(twin) == conway_from_seifert(flipped) == nabla
+        assert calls == [6, 6, 6]
+        assert conway_from_seifert(flipped.transpose()) == nabla
+        assert calls == [6, 6, 6, 6]
+
+    def test_failed_evaluation_keeps_nothing(self, monkeypatch):
+        # no integer matrix gives a determinant that _laurent_to_z refuses, so
+        # a wrong determinant stands in for one: f = 1 is no polynomial in z
+        s = seifert_torus2(3)
+        monkeypatch.setattr(seifert_module, "_det", lambda m: 1)
+        for call in (conway_from_seifert, conway_from_seifert, alexander_second_derivative, conway_from_seifert):
+            with pytest.raises(ValueError, match="not a valid Seifert matrix"):
+                call(s)
+        monkeypatch.undo()
+        assert conway_from_seifert(s) == ConwayPoly({0: 1, 2: 1})
+        assert alexander_second_derivative(s) == 2
+
+    def test_non_knot_is_refused_on_every_call(self):
+        refused, kept = SeifertMatrix([[1]]), SeifertMatrix([[1]])
+        assert conway_from_seifert(kept) == ConwayPoly({1: 1})
+        for s in (refused, kept, refused, kept):
+            with pytest.raises(ValueError, match="constant Conway coefficient 1"):
+                alexander_second_derivative(s)
+        assert conway_from_seifert(refused) == ConwayPoly({1: 1})
 
 
 class TestSignatures:
