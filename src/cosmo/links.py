@@ -49,6 +49,21 @@ one: switching the branch site changes the status of that one crossing
 only, so the parent's count drops by exactly one and no other reading's
 count drops by more.
 
+The counts the placement takes decide three cases without a node:
+
+- a split reading, whose components fall into groups with no crossing
+  between them, has nabla 0, since it is a split link (L. H. Kauffman,
+  "The Conway polynomial", Topology 20, 1981); switching or smoothing
+  makes no crossing between two groups, so every node below it is split
+  too, and none is expanded;
+- a reading with no bad crossing is descending, a stacked unlink: 1 for a
+  knot, 0 for a link;
+- at a node with one bad crossing left, the switched child keeps the
+  reading and has none, so it is descending and is not built.
+
+None of the three is keyed or memoized; each skips only nodes whose value
+is fixed, so no value and no other node changes.
+
 Results are memoized on a canonical serialization of the diagram: arcs
 renumbered 1..N in traversal order from the base points, then the crossings
 sorted.  Equal keys mean the same diagram up to arc names, and the memoized
@@ -107,8 +122,9 @@ __all__ = [
 
 # Together these bound one conway_polynomial call: the crossing cap bounds the
 # time and memory of each skein node (switch/smooth branching), the budget the
-# number of nodes.  The costliest diagram the tests, scripts and benchmark
-# evaluate, the (3, 3) pretzel link, has 19 crossings and expands 657 nodes.
+# number of nodes.  The costliest diagram the tests and benchmark evaluate, the
+# (3, 3) pretzel link, has 19 crossings and expands 530 nodes; the default grid
+# of scripts/pretzel_sweep.py reaches 640, at (3, -3).
 SKEIN_CROSSING_LIMIT = 40
 SKEIN_NODE_BUDGET = 100_000
 
@@ -592,7 +608,7 @@ def _over_budget(budget: int) -> DiagramError:
     return DiagramError(f"diagram too costly for skein oracle: more than {budget} skein nodes expanded")
 
 
-def _placed(d: LinkDiagram) -> LinkDiagram:
+def _placed(d: LinkDiagram) -> tuple[LinkDiagram, bool, int]:
     """The diagram re-read from the base points and cycle order that leave the fewest bad crossings.
 
     With arcs numbered in traversal order, a self-crossing whose under-in arc
@@ -600,23 +616,31 @@ def _placed(d: LinkDiagram) -> LinkDiagram:
     points no+1..nu of its cycle, read cyclically.  The prefix sums of one
     difference array over the numbering, +1 at no+1 and -1 at nu+1, count
     every base point's bad self-crossings on each cycle's slice, less the
-    number of that cycle's ranges that wrap past its end: a constant per
-    cycle, which does not move its minimum.  A crossing between two cycles
-    is bad exactly when its under-strand's cycle comes first, whatever the
-    base points, so the two choices are made apart.  Each cycle starts at
-    its first best base point, and with at most 3 cycles every order is
-    tried (past that the listed order stays); a tie keeps the listed base
-    point or order.  The numbering of the new reading goes to the result,
-    so keying it does not build it again.
+    number of that cycle's ranges that wrap past its end (those with no > nu,
+    the self-crossings bad in the listed reading): a constant per cycle,
+    which does not move its minimum.  A crossing between two cycles is bad
+    exactly when its under-strand's cycle comes first, whatever the base
+    points, so the two choices are made apart.  Each cycle starts at its
+    first best base point, and with at most 3 cycles every order is tried
+    (past that the listed order stays); a tie keeps the listed base point or
+    order.  The numbering of the new reading goes to the result, so keying
+    it does not build it again.
+
+    Also returned, from the same counts: whether the cycles fall into groups
+    with no crossing between them (a crossing-free circle is a group of its
+    own), and the number of bad crossings the new reading leaves.
     """
     comps = d.components
     k = len(comps)
     pos = {arc: n for n, arc in enumerate(chain.from_iterable(comps), 1)}
     marks = [0] * (len(pos) + 2)
+    wraps = 0
     if k == 1:
         for a, b, _, dd, sign in d.crossings:
-            marks[pos[dd if sign > 0 else b] + 1] += 1
-            marks[pos[a] + 1] -= 1
+            nu, no = pos[a], pos[dd if sign > 0 else b]
+            marks[no + 1] += 1
+            marks[nu + 1] -= 1
+            wraps += no > nu
     else:
         cycle = [ci for ci, cyc in enumerate(comps) for _ in cyc]  # the arc numbered n is on cycle[n - 1]
         between = [0] * (k * k)  # [u * k + o]: crossings under on cycle u, over on cycle o
@@ -626,24 +650,32 @@ def _placed(d: LinkDiagram) -> LinkDiagram:
             if cu == co:
                 marks[no + 1] += 1
                 marks[nu + 1] -= 1
+                wraps += no > nu
             else:
                 between[cu * k + co] += 1
     counts = list(accumulate(marks))
-    placed, moved, end = [], False, 1
+    placed, moved, end, left = [], False, 1, wraps
     for cyc in comps:
         start = end
         end += len(cyc)
         span = counts[start:end]
-        s = span.index(min(span))
+        low = min(span)
+        left += low
+        s = span.index(low)
         if s:
             cyc = cyc[s:] + cyc[:s]
             moved = True
         placed.append(cyc)
+    split = False
     if k == 2:
+        split = not (between[1] or between[2])
         if between[2] < between[1]:
             placed.reverse()
             moved = True
+        left += min(between[1], between[2])
     elif k == 3:
+        # three cycles are split when fewer than two of their pairs cross
+        split = (between[1] + between[3] > 0) + (between[2] + between[6] > 0) + (between[5] + between[7] > 0) < 2
 
         def bad(p):
             return between[3 * p[0] + p[1]] + between[3 * p[0] + p[2]] + between[3 * p[1] + p[2]]
@@ -652,32 +684,66 @@ def _placed(d: LinkDiagram) -> LinkDiagram:
         if order != (0, 1, 2):
             placed = [placed[i] for i in order]
             moved = True
+        left += bad(order)
+    elif k > 3:
+        root = list(range(k))  # union-find over the cycles, joined by each crossing between two
+        for i, n in enumerate(between):
+            if n:
+                u, o = divmod(i, k)
+                if u < o:
+                    left += n
+                while root[u] != u:
+                    u = root[u]
+                while root[o] != o:
+                    o = root[o]
+                root[u] = o
+        split = sum(root[c] == c for c in range(k)) > 1
     if moved:
         pos = {arc: n for n, arc in enumerate(chain.from_iterable(placed), 1)}
-    return object.__new__(LinkDiagram)._assemble(d.crossings, tuple(placed), d._head_map, None, pos)
+    return object.__new__(LinkDiagram)._assemble(d.crossings, tuple(placed), d._head_map, None, pos), split, left
 
 
-# One frame per node on a root-to-leaf path.  Switching the branch site removes
-# one bad crossing and smoothing removes one crossing, so at k crossings a path
-# makes at most k switches before it smooths: at most (n + 1)(n + 2)/2 frames,
-# 861 at the 40-crossing cap, under Python's default recursion limit of 1000.
+def _nabla(d: LinkDiagram, memo: dict, expanded: list[int]) -> dict:
+    """nabla(d) as {exponent: coefficient}, from the reading ``_placed`` chooses.
+
+    A split reading is a split link, nabla 0, and a reading with no bad
+    crossing a stacked unlink; neither is keyed, memoized or expanded.  A
+    split diagram has at least two components.
+    """
+    placed, split, left = _placed(d)
+    if split or not left:
+        return {0: 1} if len(d.components) == 1 else {}
+    return _resolve(placed, memo, expanded)
+
+
+# One frame per node on a root-to-leaf path, and one _nabla frame per
+# smoothing.  Switching the branch site removes one bad crossing and smoothing
+# removes one crossing, so at k crossings a path makes at most k - 1 switches
+# before it smooths: at most (n + 1)(n + 2)/2 frames, 861 at the 40-crossing
+# cap, under Python's default recursion limit of 1000.
 # A module function, not a closure: a closure that calls itself is a reference
 # cycle, which would keep each call's memo table until the collector ran.
 def _resolve(d: LinkDiagram, memo: dict, expanded: list[int]) -> dict:
-    """nabla(d) as {exponent: coefficient}; expanded[0] counts the call's expanded nodes."""
+    """nabla(d) for a placed diagram that is not split and has a bad crossing.
+
+    expanded[0] counts the call's expanded nodes.  The switched child keeps
+    the reading and is not split either; with one bad crossing left it is
+    descending, so its value is known and it is not built.
+    """
     key = d.canonical_key()
     if key in memo:  # a membership test, so a counting table sees the hit
         return memo[key]
-    bad = d.first_bad_crossing()
-    if bad is None:
-        value = {0: 1} if len(d.components) == 1 else {}
-    else:
-        expanded[0] += 1
-        if expanded[0] > SKEIN_NODE_BUDGET:
-            raise _over_budget(SKEIN_NODE_BUDGET)
-        # smoothing first builds the arc indexes the switched child shares
-        smoothed = _shift_scale(_resolve(_placed(d.smooth_crossing(bad)), memo, expanded), d.crossings[bad].sign)
-        value = _add(_resolve(d.switch_crossing(bad), memo, expanded), smoothed)
+    expanded[0] += 1
+    if expanded[0] > SKEIN_NODE_BUDGET:
+        raise _over_budget(SKEIN_NODE_BUDGET)
+    bads = d._bads
+    bad = bads[0][1]
+    # smoothing first builds the arc indexes the switched child shares
+    value = _shift_scale(_nabla(d.smooth_crossing(bad), memo, expanded), d.crossings[bad].sign)
+    if len(bads) > 1:
+        value = _add(_resolve(d.switch_crossing(bad), memo, expanded), value)
+    elif len(d.components) == 1:
+        value[0] = 1  # a descending knot; the shifted smoothing has no constant term
     memo[key] = value
     return value
 
@@ -692,7 +758,7 @@ def conway_polynomial(d: LinkDiagram, *, memo: dict | None = None) -> ConwayPoly
     """
     if len(d.crossings) > SKEIN_CROSSING_LIMIT:
         raise _too_large(len(d.crossings))
-    return ConwayPoly(_resolve(_placed(d), {} if memo is None else memo, [0]))
+    return ConwayPoly(_nabla(d, {} if memo is None else memo, [0]))
 
 
 # ---------------------------------------------------------------------------

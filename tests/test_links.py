@@ -28,6 +28,7 @@ from cosmo.links import (
     unlink_diagram,
     v3,
 )
+from test_burau_oracle import conway_matches_burau
 
 
 def torus2_conway_closed_form(n: int) -> ConwayPoly:
@@ -769,14 +770,16 @@ class TestBranchSite:
         assert sum(self.walk(d, switch_all=True) for d in random_planar_codes(5, 3000)) > 500
 
     def test_expanded_nodes_pinned_on_a_braid_sample(self, monkeypatch):
-        # one switch_crossing call per expanded node; the sample expanded 2,811
-        # from the listed base points, and 960 from the placed ones
+        # one smooth_crossing call per expanded node (the last switch of a
+        # chain is not built); the sample expanded 2,811 from the listed base
+        # points, 960 from the placed ones, and 881 once split readings are
+        # not expanded: the 79 split nodes of those 960
         calls = []
-        switch = LinkDiagram.switch_crossing
-        monkeypatch.setattr(LinkDiagram, "switch_crossing", lambda d, i: calls.append(i) or switch(d, i))
+        smooth = LinkDiagram.smooth_crossing
+        monkeypatch.setattr(LinkDiagram, "smooth_crossing", lambda d, i: calls.append(i) or smooth(d, i))
         for d in seeded_braids(34, 200, 12):
             conway_polynomial(d)
-        assert len(calls) == 960
+        assert len(calls) == 881
 
 
 def fewest_bad_crossings(d):
@@ -789,15 +792,30 @@ def fewest_bad_crossings(d):
     )
 
 
+def crossing_groups_split(d):
+    """Brute force: do the components fall into groups with no crossing between them?"""
+    comp = {arc: ci for ci, cyc in enumerate(d.components) for arc in cyc}
+    linked = {frozenset((comp[x.a], comp[x.over_in])) for x in d.crossings}
+    reached, grew = {0}, True
+    while grew:
+        grew = False
+        for pair in linked:
+            if len(pair) == 2 and len(pair & reached) == 1:
+                reached |= pair
+                grew = True
+    return len(reached) < len(d.components)
+
+
 class TestPlacement:
     """The recursion re-reads each diagram from base points and an order that leave the fewest bad crossings."""
 
     @staticmethod
     def assert_placed_best(d):
-        placed = links._placed(d)
+        placed, split, left = links._placed(d)
         best = fewest_bad_crossings(d)
         assert placed.crossings is d.crossings
-        assert len(walked_bad_crossings(placed.crossings, placed.components)) == best
+        assert len(walked_bad_crossings(placed.crossings, placed.components)) == best == left
+        assert split == crossing_groups_split(d)
         # the same cycles, each rotated; past 3 cycles in the listed order
         assert sorted(map(sorted, placed.components)) == sorted(map(sorted, d.components))
         if len(d.components) > 3:
@@ -840,6 +858,131 @@ class TestPlacement:
         assert moved.components is components and moved.canonical_key() == key
 
 
+class TestSkeinShortcuts:
+    """Split readings and descending readings get their value without a key, and the last switch is not built.
+
+    Every value is checked against two routes outside the recursion: the
+    reduced-Burau oracle and the plain skein of ``TestPlanarity``.
+    """
+
+    @staticmethod
+    def verdicts(monkeypatch):
+        """Record (split, bad crossings left) for every diagram the recursion places."""
+        seen = []
+        placed = links._placed
+
+        def recording(d):
+            out = placed(d)
+            seen.append(out[1:])
+            return out
+
+        monkeypatch.setattr(links, "_placed", recording)
+        return seen
+
+    @staticmethod
+    def check(word, strands):
+        """nabla of the closure, checked against both routes; return _placed's verdict on the closure."""
+        d = braid_closure(word, strands)
+        value = conway_polynomial(d)
+        assert conway_matches_burau(value.coefficients, word, strands), (word, strands)
+        assert value == ConwayPoly(TestPlanarity.welded_conway(d)), (word, strands)
+        _, split, left = links._placed(d)
+        assert split == crossing_groups_split(d)
+        return d, value, split, left
+
+    @staticmethod
+    def words(seed, count, letters, length):
+        rng = random.Random(seed)
+        for _ in range(count):
+            yield [rng.choice((1, -1)) * rng.choice(letters) for _ in range(rng.randint(0, length))]
+
+    def test_split_closures_expand_no_node(self, monkeypatch):
+        # letters +-1 and +-3 on 4 strands, and +-1 and +-4 on 5, where the
+        # unused middle strand closes into a crossing-free circle
+        monkeypatch.setattr(links, "SKEIN_NODE_BUDGET", 0)
+        for letters, strands in (((1, 3), 4), ((1, 4), 5)):
+            for word in self.words(2301, 150, letters, 10):
+                d, value, split, _ = self.check(word, strands)
+                assert split and value == 0 and len(d.components) >= 2
+
+    def test_two_torus_knots_side_by_side(self, monkeypatch):
+        monkeypatch.setattr(links, "SKEIN_NODE_BUDGET", 0)
+        word = [1] * 19 + [3] * 19
+        value = conway_polynomial(braid_closure(word, 4))
+        assert value == 0 and conway_matches_burau(value.coefficients, word, 4)
+
+    def test_three_components(self, monkeypatch):
+        # split exactly when fewer than two of the three pairs cross
+        verdicts = self.verdicts(monkeypatch)
+        pairs = {0: 0, 1: 0, 2: 0, 3: 0}
+        for word in self.words(2302, 600, (1, 2, 3), 9):
+            d = braid_closure(word, 4)
+            if len(d.components) != 3:
+                continue
+            comp = {arc: ci for ci, cyc in enumerate(d.components) for arc in cyc}
+            linked = sum(len(pair) == 2 for pair in {frozenset((comp[x.a], comp[x.over_in])) for x in d.crossings})
+            _, _, split, _ = self.check(word, 4)
+            assert split == (linked < 2)
+            pairs[linked] += 1
+        assert min(pairs.values()) >= 10
+        assert (True, 0) in verdicts and any(not split and left for split, left in verdicts)
+
+    def test_four_or_more_components(self, monkeypatch):
+        # pure braids of squared letters: strands i and i + 1 cross exactly
+        # when the letter i is used, so a closure is split when one is missing
+        verdicts = self.verdicts(monkeypatch)
+        rng = random.Random(2303)
+        split_roots = linked_roots = 0
+        for _ in range(300):
+            strands = rng.randint(4, 6)
+            word = []
+            for _ in range(rng.randint(1, 6)):
+                word += [rng.choice((1, -1)) * rng.randint(1, strands - 1)] * 2
+            _, _, split, _ = self.check(word, strands)
+            assert split == (len({abs(w) for w in word}) < strands - 1)
+            split_roots += split
+            linked_roots += not split
+        assert split_roots >= 100 and linked_roots >= 30
+        assert sum(split for split, _ in verdicts) > 300
+
+    def test_descending_best_readings(self, monkeypatch):
+        # the listed reading has a bad crossing, the placed one none: the
+        # value comes without a node
+        monkeypatch.setattr(links, "SKEIN_NODE_BUDGET", 0)
+        knots = links_ = 0
+        for word in self.words(2304, 1000, (1, 2, 3), 7):
+            d = braid_closure(word, 4)
+            if d.first_bad_crossing() is None or links._placed(d)[2]:
+                continue
+            _, value, _, _ = self.check(word, 4)
+            assert value == (1 if len(d.components) == 1 else 0)
+            knots += len(d.components) == 1
+            links_ += len(d.components) > 1
+        assert knots >= 20 and links_ >= 100
+
+    def test_last_switch_is_not_built(self, monkeypatch):
+        # a node with one bad crossing left takes its switched child's value,
+        # 1 or 0, without building it: no switched child the recursion builds
+        # is descending, and fewer are built than nodes are expanded
+        words = list(self.words(2305, 300, (1, 2, 3), 10))
+        components = {len(self.check(word, 4)[0].components) for word in words}
+        assert components == {1, 2, 3, 4}
+        switched, smoothed = [], []
+        switch, smooth = LinkDiagram.switch_crossing, LinkDiagram.smooth_crossing
+
+        def switching(d, i):
+            child = switch(d, i)
+            switched.append(child.first_bad_crossing())
+            return child
+
+        monkeypatch.setattr(LinkDiagram, "switch_crossing", switching)
+        monkeypatch.setattr(LinkDiagram, "smooth_crossing", lambda d, i: smoothed.append(i) or smooth(d, i))
+        for word in words:
+            conway_polynomial(braid_closure(word, 4))
+        assert None not in switched
+        assert len(smoothed) > 2 * len(switched) > 200
+
+
 class TestSlamDunkDiagrams:
     def test_knot_with_a_meridian(self):
         # the closure of [eps, eps] + beta+ is K, the closure of beta on k
@@ -878,12 +1021,12 @@ class TestSkeinBudget:
         with pytest.raises(DiagramError, match="more than 55 skein nodes"):
             conway_polynomial(d)
 
-    def test_pretzel_3_3_expands_657_nodes(self, monkeypatch):
+    def test_pretzel_3_3_expands_530_nodes(self, monkeypatch):
         d = pretzel_diagram(3, 3)
-        monkeypatch.setattr(links, "SKEIN_NODE_BUDGET", 657)
+        monkeypatch.setattr(links, "SKEIN_NODE_BUDGET", 530)
         assert conway_polynomial(d).coefficient(3) == pretzel_a3_closed_form(3, 3)
-        monkeypatch.setattr(links, "SKEIN_NODE_BUDGET", 656)
-        with pytest.raises(DiagramError, match="more than 656 skein nodes"):
+        monkeypatch.setattr(links, "SKEIN_NODE_BUDGET", 529)
+        with pytest.raises(DiagramError, match="more than 529 skein nodes"):
             conway_polynomial(d)
 
     def test_budget_is_per_call(self, monkeypatch):
