@@ -28,8 +28,10 @@ assembled without being checked again.
 ``switch_crossing`` rewrites one record and shares everything else with its
 parent.  ``smooth_crossing`` splices the one or two cycles through the
 crossing and renames only the records that touch a joined arc; the result is
-the diagram ``_weld`` would build from the remaining crossings.  A child's
-arc indexes are built when first read, so a descending leaf never builds them.
+the diagram ``_weld`` would build from the remaining crossings.  Where an arc
+lies, cycle and offset, is read from its number in the numbering below.  A
+child's numbering and arc index are built when first read, so a descending
+leaf never builds them.
 
 Conway polynomial
 -----------------
@@ -163,7 +165,7 @@ class LinkDiagram:
     sub-diagrams) are assembled directly and not checked again.
     """
 
-    __slots__ = ("crossings", "components", "_head_map", "_arc_component_map", "_pos", "_key", "_bads")
+    __slots__ = ("crossings", "components", "_head_map", "_pos", "_key", "_bads")
 
     def __init__(self, crossings: Iterable[tuple], components: Sequence[Sequence[int]] | None = None) -> None:
         self.crossings = tuple(Crossing(*x) for x in crossings)
@@ -178,16 +180,15 @@ class LinkDiagram:
         self._check_planar()
         self._assemble(self.crossings, comps, head)
 
-    def _assemble(self, crossings, components, head=None, arc_component=None, pos=None) -> "LinkDiagram":
+    def _assemble(self, crossings, components, head=None, pos=None) -> "LinkDiagram":
         """Set every field from parts already known to form a diagram; no checks.
 
-        The arc indexes, the numbering, the key and the bad crossings that are
+        The arc index, the numbering, the key and the bad crossings that are
         not given are built the first time they are read.
         """
         self.crossings = crossings
         self.components = components
         self._head_map = head
-        self._arc_component_map = arc_component
         self._pos = pos
         self._key = None
         self._bads = None
@@ -200,7 +201,7 @@ class LinkDiagram:
         head: dict[int, int] = {}
         outgoing: set[int] = set()
         for ci, x in enumerate(self.crossings):
-            if x.sign not in (1, -1):
+            if not isinstance(x.sign, int) or x.sign not in (1, -1):
                 raise DiagramError(f"crossing {ci}: sign must be +1 or -1, got {x.sign}")
             for arc in (x.a, x.b, x.c, x.d):
                 if not isinstance(arc, int) or arc < 1:
@@ -282,15 +283,6 @@ class LinkDiagram:
             self._head_map = head
         return head
 
-    @property
-    def _arc_component(self) -> dict[int, int]:
-        """The component each arc lies on."""
-        comp = self._arc_component_map
-        if comp is None:
-            comp = {arc: ci for ci, cyc in enumerate(self.components) for arc in cyc}
-            self._arc_component_map = comp
-        return comp
-
     def _numbering(self) -> dict[int, int]:
         """Arcs numbered 1..N in traversal order: components in order, each from its base point."""
         pos = self._pos
@@ -298,10 +290,14 @@ class LinkDiagram:
             pos = self._pos = {arc: n for n, arc in enumerate(chain.from_iterable(self.components), 1)}
         return pos
 
+    def _cycle_ends(self) -> list[int]:
+        """The number of each cycle's last arc: the arc numbered n is on cycle bisect_left(ends, n)."""
+        return list(accumulate(map(len, self.components)))
+
     # -- elementary facts ---------------------------------------------------
 
     def arc_component(self, arc: int) -> int:
-        return self._arc_component[arc]
+        return bisect_left(self._cycle_ends(), self._numbering()[arc])
 
     # -- skein moves ---------------------------------------------------------
 
@@ -309,7 +305,7 @@ class LinkDiagram:
         """Same diagram with crossing i switched (arc structure is unchanged).
 
         The same arcs enter the same crossings, so the child shares its
-        parent's components, numbering and arc indexes.  Its key, when the
+        parent's components, numbering and arc index.  Its key, when the
         parent has one, is the parent's with crossing i's record replaced.
         Switching the branch site makes it good and changes no other
         crossing, so the child's bad crossings are then the parent's after
@@ -319,7 +315,7 @@ class LinkDiagram:
         x = old.switched()
         xs = self.crossings[:i] + (x,) + self.crossings[i + 1 :]
         pos = self._pos
-        child = object.__new__(LinkDiagram)._assemble(xs, self.components, self._head_map, self._arc_component_map, pos)
+        child = object.__new__(LinkDiagram)._assemble(xs, self.components, self._head_map, pos)
         if self._bads and self._bads[0][1] == i:
             child._bads = self._bads[1:]
         if self._key is not None:
@@ -337,25 +333,30 @@ class LinkDiagram:
         from them; it equals what ``_weld`` builds from the remaining
         crossings, each joined pair named by its smaller arc.  The splice
         needs a != c and over-in != over-out, which every planar diagram has.
+        Where c, over-in and over-out lie, cycle and offset, is read from the
+        numbering; no cycle is searched for them.
         """
         a, b, c, d, sign = self.crossings[i]
         oi, oo = (d, b) if sign > 0 else (b, d)
         m1, m2 = min(a, oo), min(oi, c)  # the names of the two joined arcs
         head = self._head
+        pos = self._numbering()
+        ends = self._cycle_ends()
         comps = list(self.components)
-        ca, co = self._arc_component[a], self._arc_component[oi]
+        nc, no = pos[c], pos[oi]
+        ca, co = bisect_left(ends, nc), bisect_left(ends, no)
         under = comps[ca]
-        k = under.index(c)
+        k = nc - ends[ca] + len(under) - 1  # c's offset in its cycle
         under = under[k:] + under[:k]  # c, ..., a
         pred_a = under[-2]
         if ca == co:  # c, X..., oi, oo, Y..., a splits into (m2,)+X and (m1,)+Y
-            k = under.index(oi)
+            k = (no - nc) % len(under)
             pred_oi = under[k - 1]
             new = [(m2,) + under[1:k], (m1,) + under[k + 2 : -1]]
             del comps[ca]
         else:  # c, X..., a and oo, Y..., oi join into (m1,)+Y+(m2,)+X
             over = comps[co]
-            k = over.index(oo)
+            k = pos[oo] - ends[co] + len(over) - 1
             over = over[k:] + over[:k]
             pred_oi = over[-2]
             new = [(m1,) + over[1:-1] + (m2,) + under[1:-1]]
@@ -632,7 +633,7 @@ def _placed(d: LinkDiagram) -> tuple[LinkDiagram, bool, int]:
     """
     comps = d.components
     k = len(comps)
-    pos = {arc: n for n, arc in enumerate(chain.from_iterable(comps), 1)}
+    pos = d._numbering()
     marks = [0] * (len(pos) + 2)
     wraps = 0
     if k == 1:
@@ -700,7 +701,7 @@ def _placed(d: LinkDiagram) -> tuple[LinkDiagram, bool, int]:
         split = sum(root[c] == c for c in range(k)) > 1
     if moved:
         pos = {arc: n for n, arc in enumerate(chain.from_iterable(placed), 1)}
-    return object.__new__(LinkDiagram)._assemble(d.crossings, tuple(placed), d._head_map, None, pos), split, left
+    return object.__new__(LinkDiagram)._assemble(d.crossings, tuple(placed), d._head_map, pos), split, left
 
 
 def _nabla(d: LinkDiagram, memo: dict, expanded: list[int]) -> dict:
@@ -770,7 +771,10 @@ def linking_number(d: LinkDiagram, i: int, j: int) -> int:
     ncomp = len(d.components)
     if not (0 <= i < ncomp and 0 <= j < ncomp) or i == j:
         raise DiagramError(f"need two distinct component indices inside 0..{ncomp - 1}")
-    return sum(x.sign for x in d.crossings if {d.arc_component(x.a), d.arc_component(x.over_in)} == {i, j}) // 2
+    pos, ends = d._numbering(), d._cycle_ends()
+    return sum(
+        x.sign for x in d.crossings if {bisect_left(ends, pos[x.a]), bisect_left(ends, pos[x.over_in])} == {i, j}
+    ) // 2
 
 
 def invariants_from_diagram(d: LinkDiagram) -> LinkSurgeryInvariants:

@@ -4,11 +4,12 @@ Both exact routes run on fraction-free integer elimination (Bareiss), each
 with a kernel of its own on list rows.  The determinant route to the Conway
 polynomial evaluates det(y S - S^T) once, at a power of two y = 2^B wide
 enough that the integer coefficients are its balanced base-2^B digits
-(Kronecker substitution), by dense elimination (``_det``), and rewrites
-det(x S - x^-1 S^T) in z = x - x^-1.  f is evaluated once per matrix: the
-polynomial is kept on the ``SeifertMatrix``, whose entries are read-only, and
-Delta''(1) reads it from there.  The route is deliberately independent of the
-skein recursion in ``links`` so the two can check each other.  The total
+(Kronecker substitution), by dense elimination (``_det``), and reads
+det(x S - x^-1 S^T) in z = x - x^-1 off it, through the symmetry x -> -1/x.
+f is evaluated once per matrix: the polynomial is kept on the
+``SeifertMatrix``, whose entries are read-only, and Delta''(1) reads it from
+there.  The route is deliberately independent of the skein recursion in
+``links`` so the two can check each other.  The total
 signature over the p-th roots of unity, which is all that surgery tau needs,
 is the signature of one symmetric integer form of size n(p-1), read off the
 signs of its pivots; no float is involved.  ``_sym_pivots`` stores only the
@@ -241,31 +242,6 @@ def _det(m: list[list[int]]) -> int:
     return prev
 
 
-def _laurent_to_z(laurent: dict[int, int]) -> dict[int, int]:
-    """Rewrite a Laurent polynomial in x as a polynomial in z = x - x^-1.
-
-    Peels the top exponent d by subtracting c (x - x^-1)^d; a residue that
-    cannot be absorbed is reported, because it means the input never was a
-    Seifert-matrix determinant.
-    """
-    work = {e: c for e, c in laurent.items() if c}
-    out: dict[int, int] = {}
-    while work:
-        d = max(work)
-        if d < 0 or -min(work) > d:
-            raise ValueError("matrix is not a valid Seifert matrix for this pipeline")
-        c = work[d]
-        out[d] = out.get(d, 0) + c
-        for j in range(d + 1):
-            e = d - 2 * j
-            v = work.get(e, 0) - c * ((-1) ** j) * math.comb(d, j)
-            if v:
-                work[e] = v
-            else:
-                work.pop(e, None)
-    return {e: c for e, c in out.items() if c}
-
-
 def conway_from_seifert(s: SeifertMatrix) -> ConwayPoly:
     """Conway polynomial via det(x S - x^-1 S^T), rewritten in z = x - x^-1.
 
@@ -294,6 +270,15 @@ def _conway(e: tuple[tuple[int, ...], ...]) -> ConwayPoly:
     the c_k are the balanced base-2^B digits of f(2^B).  The elimination is
     exact on any integer matrix, so nothing else is needed; a zero row and
     column gives bound = 0 and f = 0.
+
+    x -> -1/x turns x S - x^-1 S^T into its transpose, so it fixes the
+    determinant: its coefficients l_m of x^m have l_-m = (-1)^m l_m.  Pairing
+    the two gives
+
+        det(x S - x^-1 S^T) = l_0 + sum_(m > 0) l_m V_m(z),
+
+    with V_m = x^m + (-x^-1)^m, so V_0 = 2, V_1 = z and V_(m+1) = z V_m +
+    V_(m-1); l_m is c_((n+m)/2) when n + m is even and 0 otherwise.
     """
     from .links import ConwayPoly  # here, so that tau alone does not load links
 
@@ -309,7 +294,14 @@ def _conway(e: tuple[tuple[int, ...], ...]) -> ConwayPoly:
         value += half
         f.append((value & mask) - half)
         value >>= shift
-    return ConwayPoly(_laurent_to_z({2 * k - n: c for k, c in enumerate(f) if c}))
+    nabla = [f[n // 2] if n % 2 == 0 else 0] + [0] * n  # coefficients of z^0 .. z^n, from l_0
+    low, high = [2], [0, 1]  # V_(m-1) and V_m, coefficients of z^0 .. z^m
+    for m in range(1, n + 1):
+        if (n + m) % 2 == 0:
+            for j, v in enumerate(high):
+                nabla[j] += f[(n + m) // 2] * v
+        low, high = high, [a + b for a, b in zip_longest([0] + high, low, fillvalue=0)]
+    return ConwayPoly({j: nabla[j] for j in range(n, -1, -1)})  # top degree first, the order repr shows
 
 
 def alexander_second_derivative(s: SeifertMatrix) -> int:

@@ -414,6 +414,40 @@ class TestExitCodes:
             offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if flagged(node)]
         assert offenders == []
 
+    def test_float_code_stays_where_it_is(self):
+        # the float Levine-Tristram route is the only float code, and is to be
+        # made exact (ROADMAP item 3); no new float code may appear meanwhile
+        allowed = {"_ZERO_TOL", "_jacobi_spectrum", "levine_tristram_signature"}
+        inexact = {"sqrt", "hypot", "copysign"}
+
+        def flagged(node):
+            if isinstance(node, ast.Constant):
+                return isinstance(node.value, (float, complex))
+            if isinstance(node, ast.Name):
+                return node.id in ("float", "complex", "cmath")
+            if isinstance(node, ast.Attribute):
+                return isinstance(node.value, ast.Name) and node.value.id == "math" and node.attr in inexact
+            if isinstance(node, ast.Import):
+                return any(alias.name == "cmath" for alias in node.names)
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                return node.module == "cmath" or (node.module == "math" and bool(names & inexact))
+            return False
+
+        def name(node):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                return node.name
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            return next((t.id for t in targets if isinstance(t, ast.Name)), None)
+
+        offenders = []
+        for path in sorted(Path(cosmo.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for top in tree.body:
+                if name(top) not in allowed:
+                    offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(top) if flagged(node)]
+        assert offenders == []
+
     def test_compute_modules_import_only_arith(self):
         # at module level a compute module imports only arith, and arith no
         # other cosmo module, so a call loads just the modules it computes with

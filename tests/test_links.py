@@ -352,6 +352,40 @@ class TestDiagramValidation:
             "inconsistent diagram: not a planar diagram: 1 faces, not the n + 2c = 5 of n crossings in c pieces"
         )
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: LinkDiagram([(2, 4, 3, 0, 1)]), "crossing 0: arc labels must be positive integers"),
+            (lambda: LinkDiagram([(1, 2, 2, 3, 1)]), "arc 2 leaves two crossings"),
+            (
+                lambda: LinkDiagram([(1, 2, 3, 4, 1)]),
+                "arcs [1, 2, 3, 4] do not appear exactly once incoming and once outgoing",
+            ),
+            (lambda: LinkDiagram((), ((),)), "empty component cycle"),
+            (lambda: LinkDiagram((), ((1,), (1,))), "components share arcs"),
+            (
+                lambda: LinkDiagram([(2, 4, 3, 1, 1), (4, 2, 1, 3, 1)], [(1, 4)]),
+                "component cycles do not cover arcs [2, 3]",
+            ),
+            (lambda: invariants_from_diagram(torus2_diagram(3)), "need a 2-component diagram, got 1 components"),
+            (lambda: braid_closure([0]), "braid letter 0 does not fit in 1 strands"),
+            (lambda: braid_closure([1], strands=0), "braid needs at least one strand"),
+            (lambda: unlink_diagram(0), "unlink needs at least one component"),
+            (lambda: parse_pd("X 2,4,3,1 +\nX 4,2,1,3 +\nC 1 4\n"), "line 3: expected 'C a1,a2,...'"),
+        ],
+    )
+    def test_each_refusal_names_its_reason(self, build, message):
+        with pytest.raises(DiagramError) as exc:
+            build()
+        assert str(exc.value) == message
+
+    def test_float_signs_refused(self):
+        # 1.0 == 1, but a float sign would surface later as a float linking
+        # number or a non-integer Conway coefficient
+        for d in (torus2_diagram(3), braid_closure([1, 1], 2)):
+            with pytest.raises(DiagramError, match=r"crossing 0: sign must be \+1 or -1, got 1\.0"):
+                LinkDiagram([(*x[:4], float(x.sign)) for x in d.crossings], d.components)
+
     def test_linking_number_needs_distinct_components(self):
         hopf = braid_closure([1, 1], 2)
         with pytest.raises(DiagramError):
@@ -481,7 +515,7 @@ class TestTrustedAssembly:
         assert again.crossings == d.crossings
         assert again.components == d.components
         assert again._head == d._head
-        assert again._arc_component == d._arc_component
+        assert again._numbering() == d._numbering()
         assert again.canonical_key() == d.canonical_key()
 
     def walk_skein_tree(self, root):
@@ -545,7 +579,7 @@ class TestSmoothingSplice:
             assert spliced.crossings == welded.crossings
             assert spliced.components == welded.components
             assert spliced._head == welded._head
-            assert spliced._arc_component == welded._arc_component
+            assert spliced._numbering() == welded._numbering()
             kinks += x.a == x.over_out or x.over_in == x.c
         return kinks
 
